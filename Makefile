@@ -5,11 +5,11 @@ GO        ?= go
 PKGS      := ./...
 # Packages whose concurrency is exercised hardest; `make race` runs them
 # under the race detector (the full suite under -race is `make race-all`).
-RACE_PKGS := ./internal/obs ./internal/server ./internal/core ./internal/decomp ./internal/store ./internal/solvecache ./internal/partition
+RACE_PKGS := ./internal/obs ./internal/server ./internal/core ./internal/decomp ./internal/store ./internal/solvecache ./internal/partition ./internal/mincostflow
 BENCH     ?= .
 BENCH_FLAGS := -benchmem -benchtime=1x
 
-.PHONY: build test test-service smoke-probes load-smoke race race-all vet bench bench-json bench-compare bench-server cover clean run-server help
+.PHONY: build test test-service perfbench-test smoke-probes load-smoke race race-all vet bench bench-json bench-compare bench-server cover clean run-server help
 
 ## build: compile every package and the command-line tools
 build:
@@ -22,6 +22,10 @@ test:
 ## test-service: service crash-recovery e2e (build binary, stream deltas, kill -9, restart, verify)
 test-service:
 	GEACC_E2E=1 $(GO) test -run TestServiceE2E -v ./cmd/geacc-server
+
+## perfbench-test: the end-to-end benchmark harness's own self-tests (perfbench is a separate module)
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 ## smoke-probes: boot a real geacc-server and exercise healthz/readyz/statusz/metrics/stats once
 smoke-probes:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -189,6 +190,48 @@ func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 		return 0, false
 	}
 	return float64(delta) - cost, true
+}
+
+// referenceMinCostFlow is MinCostFlow-GEACC with the relaxation solved by
+// the generic mincostflow.Solver on an arc-list network: the reference the
+// bipartite kernel must reproduce. It augments under the same rule (unit
+// cost below 1) and reads M∅ back in the same order.
+func referenceMinCostFlow(in *Instance) *FlowResult {
+	nv, nu := in.NumEvents(), in.NumUsers()
+	res := &FlowResult{Relaxed: NewMatching()}
+	if nv > 0 && nu > 0 {
+		s, t := 0, 1+nv+nu
+		g := mincostflow.NewGraph(nv + nu + 2)
+		for v, e := range in.Events {
+			g.AddArc(s, 1+v, int64(e.Cap), 0)
+		}
+		for u, usr := range in.Users {
+			g.AddArc(1+nv+u, t, int64(usr.Cap), 0)
+		}
+		sims := make([]float64, nv*nu)
+		pairArc := make([]mincostflow.ArcID, nv*nu)
+		for v := 0; v < nv; v++ {
+			in.similarityRow(v, sims[v*nu:(v+1)*nu])
+			for u := 0; u < nu; u++ {
+				pairArc[v*nu+u] = g.AddArc(1+v, 1+nv+u, 1, 1-sims[v*nu+u])
+			}
+		}
+		sv := mincostflow.NewSolver(g, s, t)
+		for {
+			if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
+				break
+			}
+		}
+		res.Delta = sv.TotalFlow()
+		for i, a := range pairArc {
+			if g.Flow(a) == 1 && sims[i] > 0 {
+				res.Relaxed.Add(i/nu, i%nu, sims[i])
+			}
+		}
+		res.RelaxedMaxSum = res.Relaxed.MaxSum()
+	}
+	res.Matching = resolveConflicts(in, res.Relaxed)
+	return res
 }
 
 func TestRandomBaselinesFeasibleAndSeeded(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"github.com/ebsnlab/geacc/internal/mincostflow"
@@ -105,73 +104,75 @@ func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
 	if nv == 0 || nu == 0 {
 		return res, nil
 	}
-
-	// Node layout: source, events, users, sink.
-	s := 0
-	eventNode := func(v int) int { return 1 + v }
-	userNode := func(u int) int { return 1 + nv + u }
-	t := 1 + nv + nu
-
-	// The network, solver, and index scratch are pooled: every byte read by
-	// this solve is rewritten below, and nothing pooled escapes into the
+	// One batched similarity row per event, computed once: the rows set the
+	// pair costs and are read back for M∅. Nothing pooled escapes into the
 	// returned FlowResult.
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
-	g.Grow(nv + nu + nv*nu)
+	sims := acquireFloats(nv * nu)
+	defer releaseFloats(sims)
+	for v := 0; v < nv; v++ {
+		in.similarityRow(v, sims[v*nu:(v+1)*nu])
+	}
+	k := loadFlowNetwork(in, sims)
+	defer mincostflow.ReleaseBipartite(k)
+	if err := augmentRelaxed(ctx, k); err != nil {
+		return nil, err
+	}
+	readRelaxed(res, k, sims, nu)
+	return res, nil
+}
+
+// loadFlowNetwork builds Algorithm 1's network for in on a pooled kernel:
+// source→event arcs of capacity c_v, user→sink arcs of capacity c_u, and a
+// unit pair arc of cost 1 − sim(v, u) for every pair. Zero-similarity pairs
+// stay in, exactly as the paper's construction demands: they make every Δ
+// up to Δmax feasible, and Lemma 1 relies on that. sims is the row-major
+// |V|×|U| similarity matrix. Release the kernel with
+// mincostflow.ReleaseBipartite.
+func loadFlowNetwork(in *Instance, sims []float64) *mincostflow.Bipartite {
+	nv, nu := in.NumEvents(), in.NumUsers()
+	k := mincostflow.AcquireBipartite(nv, nu)
 	for v, e := range in.Events {
-		g.AddArc(s, eventNode(v), int64(e.Cap), 0)
+		k.SetEventCap(v, int64(e.Cap))
+		row := k.CostRow(v)
+		for u, s := range sims[v*nu : (v+1)*nu] {
+			row[u] = 1 - s
+		}
 	}
 	for u, usr := range in.Users {
-		g.AddArc(userNode(u), t, int64(usr.Cap), 0)
+		k.SetUserCap(u, int64(usr.Cap))
 	}
-	// Pair arcs — including zero-similarity pairs, exactly as the paper's
-	// construction demands (they make every Δ up to Δmax feasible; Lemma 1
-	// relies on that). Arc ids are recorded to read flows back. Costs come
-	// from one batched similarity row per event.
-	scratch := acquireMcflowScratch(nv, nu)
-	defer releaseMcflowScratch(scratch)
-	pairArc, simRow := scratch.pairArc, scratch.simRow
-	for v := 0; v < nv; v++ {
-		in.similarityRow(v, simRow)
-		for u := 0; u < nu; u++ {
-			pairArc[v*nu+u] = g.AddArc(eventNode(v), userNode(u), 1, 1-simRow[u])
-		}
-	}
+	return k
+}
 
-	sv := mincostflow.AcquireSolver(g, s, t)
-	defer mincostflow.ReleaseSolver(sv)
-	// Augment while a unit of flow still increases MaxSum = Δ − cost, i.e.
-	// while the next path's per-unit cost is below 1. Each iteration is one
-	// Dijkstra pass, so polling ctx here bounds the cancellation latency by
-	// a single shortest-path computation.
+// augmentRelaxed augments while a unit of flow still increases
+// MaxSum = Δ − cost, i.e. while the next path's per-unit cost is below 1.
+// Each iteration is one Dijkstra pass, so polling ctx here bounds the
+// cancellation latency by a single shortest-path computation.
+func augmentRelaxed(ctx context.Context, k *mincostflow.Bipartite) error {
 	var augmentations int64
+	defer func() { mcflowAugmentations.Add(augmentations) }()
 	for {
 		if err := ctx.Err(); err != nil {
-			mcflowAugmentations.Add(augmentations)
-			return nil, err
+			return err
 		}
-		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
-			break
+		if _, ok := k.AugmentBelow(1); !ok {
+			return nil
 		}
 		augmentations++
 	}
-	mcflowAugmentations.Add(augmentations)
-	res.Delta = sv.TotalFlow()
-	mcflowDeltaUnits.Add(res.Delta)
+}
 
-	for v := 0; v < nv; v++ {
-		in.similarityRow(v, simRow)
-		for u := 0; u < nu; u++ {
-			if g.Flow(pairArc[v*nu+u]) != 1 {
-				continue
-			}
-			if s := simRow[u]; s > 0 {
-				res.Relaxed.Add(v, u, s)
-			}
+// readRelaxed records Δ and reads M∅ back into res: every flow pair with
+// positive similarity, in (event, user) order.
+func readRelaxed(res *FlowResult, k *mincostflow.Bipartite, sims []float64, nu int) {
+	res.Delta = k.TotalFlow()
+	mcflowDeltaUnits.Add(res.Delta)
+	for i, s := range sims {
+		if s > 0 && k.Flow(i/nu, i%nu) {
+			res.Relaxed.Add(i/nu, i%nu, s)
 		}
 	}
 	res.RelaxedMaxSum = res.Relaxed.MaxSum()
-	return res, nil
 }
 
 // resolveConflictsExact replaces the greedy selection with an exact

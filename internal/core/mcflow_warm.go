@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"time"
 
@@ -21,13 +20,13 @@ import (
 //     touched are re-derived; attrs are immutable and the kernels are
 //     deterministic, so reused entries are bit-identical to recomputation),
 //   - force-restores the surviving flow units onto the new network, and
-//   - repairs optimality with mincostflow.WarmStart + RetreatAbove instead
+//   - repairs optimality with the kernel's WarmStart + RetreatAbove instead
 //     of re-running the full augmentation sweep.
 //
 // Every reuse step is guarded by id-membership and residual-capacity
 // checks, so a stale or partial state degrades performance, never
 // correctness; anything the warm repair cannot handle falls back cold
-// (ClearFlow + Reset) on the same network. Row reuse additionally relies on
+// (ClearFlow) on the same network. Row reuse additionally relies on
 // one system invariant: an entity id is never rebound to different attrs
 // (the arranger tombstones on remove/cancel and appends on add), so a
 // stored (event id, user id) similarity is a permanent fact. The stopping rule is the cold
@@ -38,11 +37,11 @@ import (
 // solve, keyed entirely by parent-instance entity ids so it survives
 // component renumbering across decompositions.
 type FlowState struct {
-	events []int       // parent event ids, in sub-instance order
-	users  []int       // parent user ids, in sub-instance order
-	rows   [][]float64 // rows[i][j] = sim(events[i], users[j])
-	pot    []float64   // node potentials in the solve's node layout
-	pairs  [][2]int    // (event, user) parent-id pairs carrying flow, sim-0 included
+	events []int     // parent event ids, in sub-instance order
+	users  []int     // parent user ids, in sub-instance order
+	sims   []float64 // sims[i*len(users)+j] = sim(events[i], users[j])
+	pot    []float64 // node potentials in the solve's node layout
+	pairs  [][2]int  // (event, user) parent-id pairs carrying flow, sim-0 included
 }
 
 // WarmCache holds FlowStates for a long-lived instance's components, keyed
@@ -131,20 +130,19 @@ func MinCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, 
 }
 
 func minCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, wc *WarmCache) (*FlowResult, error) {
-	warmable := wc != nil && len(events) == in.NumEvents() && len(users) == in.NumUsers() && len(events) > 0
-	var prev *FlowState
-	if warmable {
-		mcflowWarmAttempts.Inc()
-		prev = wc.get(componentAnchor(events))
+	if wc == nil || len(events) != in.NumEvents() || len(users) != in.NumUsers() || len(events) == 0 {
+		return minCostFlowCtx(ctx, in, FlowOptions{})
 	}
+	mcflowWarmAttempts.Inc()
+	anchor := componentAnchor(events)
 	sp := obs.RecorderFrom(ctx).Start("mincostflow/relax")
-	res, st, err := relaxedOptimumWarm(ctx, in, events, users, prev, warmable)
+	res, st, err := relaxedOptimumWarm(ctx, in, events, users, wc.get(anchor))
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if warmable && st != nil {
-		wc.put(componentAnchor(events), st)
+	if st != nil {
+		wc.put(anchor, st)
 	}
 	sp = obs.RecorderFrom(ctx).Start("mincostflow/resolve")
 	res.Matching = resolveConflicts(in, res.Relaxed)
@@ -163,36 +161,31 @@ func componentAnchor(events []int) int {
 	return anchor
 }
 
+// usable reports whether the state's arrays agree with its id lists; a
+// state that does not is ignored rather than trusted.
+func (st *FlowState) usable() bool {
+	ne, nu := len(st.events), len(st.users)
+	return len(st.sims) == ne*nu && len(st.pot) == ne+nu+2
+}
+
 // relaxedOptimumWarm is relaxedOptimumCtx with state capture and optional
-// warm start from a previous FlowState. It mirrors the cold function's
-// network layout, augmentation rule, and readback order exactly.
-func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, prev *FlowState, capture bool) (*FlowResult, *FlowState, error) {
+// warm start from a previous FlowState. It shares the cold path's network
+// build, augmentation rule, and readback.
+func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, prev *FlowState) (*FlowResult, *FlowState, error) {
 	mcflowRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
 	res := &FlowResult{Relaxed: NewMatching()}
 	if nv == 0 || nu == 0 {
 		return res, nil, nil
 	}
-
-	s := 0
-	eventNode := func(v int) int { return 1 + v }
-	userNode := func(u int) int { return 1 + nv + u }
-	t := 1 + nv + nu
-
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
-	g.Grow(nv + nu + nv*nu)
-	for v, e := range in.Events {
-		g.AddArc(s, eventNode(v), int64(e.Cap), 0)
-	}
-	for u, usr := range in.Users {
-		g.AddArc(userNode(u), t, int64(usr.Cap), 0)
+	if prev != nil && !prev.usable() {
+		prev = nil
 	}
 
 	// Similarity rows, gathered from the previous state where the event
 	// survived (bit-identical: attrs are immutable, kernels deterministic)
-	// and batch-computed otherwise. Rows are owned by the new FlowState, so
-	// they are allocated fresh, not pooled.
+	// and batch-computed otherwise. The matrix is owned by the new
+	// FlowState, so it is allocated fresh, not pooled.
 	var oldEventRow, oldUserCol map[int]int
 	if prev != nil {
 		oldEventRow = make(map[int]int, len(prev.events))
@@ -204,42 +197,30 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 			oldUserCol[u] = j
 		}
 	}
-	rows := make([][]float64, nv)
+	sims := make([]float64, nv*nu)
 	for v := 0; v < nv; v++ {
-		row := make([]float64, nu)
-		reused := false
-		if prev != nil && capture {
-			if ov, ok := oldEventRow[events[v]]; ok {
-				oldRow := prev.rows[ov]
-				for u := 0; u < nu; u++ {
-					if oc, ok := oldUserCol[users[u]]; ok {
-						row[u] = oldRow[oc]
-					} else {
-						row[u] = in.Similarity(v, u)
-					}
+		row := sims[v*nu : (v+1)*nu]
+		if ov, ok := oldEventRow[events[v]]; ok {
+			onu := len(prev.users)
+			oldRow := prev.sims[ov*onu : (ov+1)*onu]
+			for u := range row {
+				if oc, ok := oldUserCol[users[u]]; ok {
+					row[u] = oldRow[oc]
+				} else {
+					row[u] = in.Similarity(v, u)
 				}
-				reused = true
 			}
+			continue
 		}
-		if !reused {
-			in.similarityRow(v, row)
-		}
-		rows[v] = row
+		in.similarityRow(v, row)
 	}
-	scratch := acquireMcflowScratch(nv, nu)
-	defer releaseMcflowScratch(scratch)
-	pairArc := scratch.pairArc
-	for v := 0; v < nv; v++ {
-		for u := 0; u < nu; u++ {
-			pairArc[v*nu+u] = g.AddArc(eventNode(v), userNode(u), 1, 1-rows[v][u])
-		}
-	}
+	k := loadFlowNetwork(in, sims)
+	defer mincostflow.ReleaseBipartite(k)
 
 	// Restore the previous flow support where both endpoints survived and
 	// residual capacity allows (a delta may have shrunk caps).
-	warm := false
-	var potInit []float64
-	if prev != nil && capture {
+	var restored int64
+	if prev != nil {
 		newEventIdx := make(map[int]int, nv)
 		for v, e := range events {
 			newEventIdx[e] = v
@@ -248,51 +229,19 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 		for u, id := range users {
 			newUserIdx[id] = u
 		}
-		var restored int64
 		for _, p := range prev.pairs {
 			v, okv := newEventIdx[p[0]]
 			u, oku := newUserIdx[p[1]]
-			if !okv || !oku {
-				continue
-			}
-			srcA := mincostflow.ArcID(2 * v)
-			sinkA := mincostflow.ArcID(2 * (nv + u))
-			pa := pairArc[v*nu+u]
-			if g.Residual(srcA) > 0 && g.Residual(pa) > 0 && g.Residual(sinkA) > 0 {
-				g.PushFlow(srcA, 1)
-				g.PushFlow(pa, 1)
-				g.PushFlow(sinkA, 1)
+			if okv && oku && k.Restore(v, u) {
 				restored++
 			}
 		}
-		if restored > 0 {
-			warm = true
-			potInit = make([]float64, nv+nu+2)
-			onv, onu := len(prev.events), len(prev.users)
-			potInit[s] = prev.pot[0]
-			potInit[t] = prev.pot[onv+onu+1]
-			for v, e := range events {
-				if ov, ok := oldEventRow[e]; ok {
-					potInit[eventNode(v)] = prev.pot[1+ov]
-				}
-			}
-			for u, id := range users {
-				if oc, ok := oldUserCol[id]; ok {
-					potInit[userNode(u)] = prev.pot[1+onv+oc]
-				}
-			}
-		}
 	}
-
-	sv := mincostflow.AcquireSolver(g, s, t)
-	defer mincostflow.ReleaseSolver(sv)
-	if warm {
-		ws := sv.WarmStart(g, s, t, potInit)
+	if restored > 0 {
+		ws := k.WarmStart(remapPotentials(prev, events, users, oldEventRow, oldUserCol))
 		if !ws.OK {
 			mcflowWarmColdFallbacks.Inc()
-			g.ClearFlow()
-			sv.Reset(g, s, t)
-			warm = false
+			k.ClearFlow()
 		} else {
 			mcflowWarmHits.Inc()
 			mcflowWarmRestoredUnits.Add(ws.RestoredFlow)
@@ -302,53 +251,51 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 				if err := ctx.Err(); err != nil {
 					return nil, nil, err
 				}
-				if _, ok := sv.RetreatAbove(1); !ok {
+				if _, ok := k.RetreatAbove(1); !ok {
 					break
 				}
 			}
 		}
 	}
 
-	var augmentations int64
-	for {
-		if err := ctx.Err(); err != nil {
-			mcflowAugmentations.Add(augmentations)
-			return nil, nil, err
-		}
-		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
-			break
-		}
-		augmentations++
+	if err := augmentRelaxed(ctx, k); err != nil {
+		return nil, nil, err
 	}
-	mcflowAugmentations.Add(augmentations)
-	res.Delta = sv.TotalFlow()
-	mcflowDeltaUnits.Add(res.Delta)
-
-	var st *FlowState
-	if capture {
-		st = &FlowState{
-			events: append([]int(nil), events...),
-			users:  append([]int(nil), users...),
-			rows:   rows,
-			pot:    sv.Potentials(nil),
+	readRelaxed(res, k, sims, nu)
+	st := &FlowState{
+		events: append([]int(nil), events...),
+		users:  append([]int(nil), users...),
+		sims:   sims,
+		pot:    k.Potentials(nil),
+	}
+	for i := range sims {
+		// The state keeps sim-0 flow pairs too: they carry real flow units
+		// the restore phase must reproduce.
+		if v, u := i/nu, i%nu; k.Flow(v, u) {
+			st.pairs = append(st.pairs, [2]int{events[v], users[u]})
 		}
 	}
-	for v := 0; v < nv; v++ {
-		row := rows[v]
-		for u := 0; u < nu; u++ {
-			if g.Flow(pairArc[v*nu+u]) != 1 {
-				continue
-			}
-			if sim := row[u]; sim > 0 {
-				res.Relaxed.Add(v, u, sim)
-			}
-			if st != nil {
-				// The state keeps sim-0 flow pairs too: they carry real
-				// flow units the restore phase must reproduce.
-				st.pairs = append(st.pairs, [2]int{events[v], users[u]})
-			}
-		}
-	}
-	res.RelaxedMaxSum = res.Relaxed.MaxSum()
 	return res, st, nil
+}
+
+// remapPotentials carries the previous solve's node potentials over to the
+// new node layout: source and sink keep theirs, surviving events and users
+// take theirs along, and new nodes start at zero.
+func remapPotentials(prev *FlowState, events, users []int, oldEventRow, oldUserCol map[int]int) []float64 {
+	nv, nu := len(events), len(users)
+	onv, onu := len(prev.events), len(prev.users)
+	pot := make([]float64, nv+nu+2)
+	pot[0] = prev.pot[0]
+	pot[nv+nu+1] = prev.pot[onv+onu+1]
+	for v, e := range events {
+		if ov, ok := oldEventRow[e]; ok {
+			pot[1+v] = prev.pot[1+ov]
+		}
+	}
+	for u, id := range users {
+		if oc, ok := oldUserCol[id]; ok {
+			pot[1+nv+u] = prev.pot[1+onv+oc]
+		}
+	}
+	return pot
 }

@@ -184,17 +184,14 @@ func TestWarmFlowSurvivesGarbageState(t *testing.T) {
 	// the state's event/user id lists point at unrelated pool ids here):
 	// pairs referencing arbitrary live and dead entities, potentials far
 	// from valid.
-	rows := make([][]float64, 3)
-	for i := range rows {
-		rows[i] = make([]float64, 4)
-		for j := range rows[i] {
-			rows[i][j] = rng.Float64()
-		}
+	sims := make([]float64, 3*4)
+	for i := range sims {
+		sims[i] = rng.Float64()
 	}
 	garbage := &FlowState{
 		events: []int{99, 100, 101}, // none present in the component: no row reuse
 		users:  []int{97, 98, 103, 104},
-		rows:   rows,
+		sims:   sims,
 		pot:    []float64{1000, -1000, 3, 0, 42, -7, 9, 9, 9},
 		pairs:  [][2]int{{0, 1}, {2, 3}, {99, 98}, {0, 5}, {2, 1}, {4, 0}, {1, 1}},
 	}

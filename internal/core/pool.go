@@ -4,16 +4,16 @@ import (
 	"sync"
 
 	"github.com/ebsnlab/geacc/internal/knn"
-	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/pqueue"
 )
 
 // Per-solve scratch pooling. A server solving per request allocates the
 // same transient buffers on every call: Greedy's capacity arrays, stream
-// tables and candidate heap; MinCostFlow's similarity row and pair-arc
-// index; the exact search's similarity matrix. All of them are dead when
-// the solve returns and none leak into the returned Matching, so each gets
-// a sync.Pool with a reset that rewrites every byte the next solve reads.
+// tables and candidate heap; the |V|×|U| similarity matrices of MinCostFlow
+// and the exact search; MinCostFlow's flow kernel
+// (mincostflow.AcquireBipartite). All of them are dead when the solve
+// returns and none leak into the returned Matching, so each gets a
+// sync.Pool with a reset that rewrites every byte the next solve reads.
 // TestPooledSolveRace exercises concurrent reuse under the race detector;
 // the solver property tests pin that pooled and fresh runs are
 // bit-identical.
@@ -54,34 +54,8 @@ func releaseGreedyScratch(g *greedyScratch) {
 	greedyScratchPool.Put(g)
 }
 
-// mcflowScratch is the per-run working set of relaxedOptimumCtx: one
-// similarity row and the pair-arc index mapping (v, u) to its arc.
-type mcflowScratch struct {
-	simRow  []float64
-	pairArc []mincostflow.ArcID
-}
-
-var mcflowScratchPool = sync.Pool{New: func() any { return new(mcflowScratch) }}
-
-func acquireMcflowScratch(nv, nu int) *mcflowScratch {
-	m := mcflowScratchPool.Get().(*mcflowScratch)
-	if cap(m.simRow) < nu {
-		m.simRow = make([]float64, nu)
-	} else {
-		m.simRow = m.simRow[:nu]
-	}
-	if cap(m.pairArc) < nv*nu {
-		m.pairArc = make([]mincostflow.ArcID, nv*nu)
-	} else {
-		m.pairArc = m.pairArc[:nv*nu]
-	}
-	return m
-}
-
-func releaseMcflowScratch(m *mcflowScratch) { mcflowScratchPool.Put(m) }
-
-// floatsPool recycles flat float64 buffers; the exact search carves its
-// |V|×|U| similarity matrix out of one.
+// floatsPool recycles flat float64 buffers; MinCostFlow and the exact
+// search carve their |V|×|U| similarity matrices out of one.
 var floatsPool = sync.Pool{New: func() any { return []float64(nil) }}
 
 // acquireFloats returns an n-element buffer with unspecified contents.

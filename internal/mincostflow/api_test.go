@@ -10,17 +10,15 @@ func TestGraphAccessors(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumArcs() != 0 {
 		t.Fatalf("fresh graph: nodes=%d arcs=%d", g.NumNodes(), g.NumArcs())
 	}
-	g.Grow(10)
 	g.AddArc(0, 1, 2, 0.5)
 	g.AddArc(1, 2, 1, 0.25)
 	if g.NumArcs() != 2 {
 		t.Fatalf("NumArcs = %d", g.NumArcs())
 	}
-	// Grow must preserve existing arcs.
 	sv := NewSolver(g, 0, 2)
 	flow, cost := sv.MinCostFlow(math.MaxInt64)
 	if flow != 1 || math.Abs(cost-0.75) > 1e-12 {
-		t.Fatalf("flow=%d cost=%v after Grow", flow, cost)
+		t.Fatalf("flow=%d cost=%v", flow, cost)
 	}
 	if sv.TotalFlow() != 1 || math.Abs(sv.TotalCost()-0.75) > 1e-12 {
 		t.Fatalf("totals = %d, %v", sv.TotalFlow(), sv.TotalCost())

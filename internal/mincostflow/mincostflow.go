@@ -39,14 +39,6 @@ func (g *Graph) NumNodes() int { return g.numNodes }
 // NumArcs returns the number of forward arcs added so far.
 func (g *Graph) NumArcs() int { return len(g.to) / 2 }
 
-// Grow pre-allocates storage for n additional forward arcs.
-func (g *Graph) Grow(n int) {
-	g.to = append(make([]int32, 0, len(g.to)+2*n), g.to...)
-	g.next = append(make([]int32, 0, len(g.next)+2*n), g.next...)
-	g.cap = append(make([]int64, 0, len(g.cap)+2*n), g.cap...)
-	g.cost = append(make([]float64, 0, len(g.cost)+2*n), g.cost...)
-}
-
 // AddArc adds a directed arc from -> to with the given capacity and per-unit
 // cost, returning its id. Capacities must be non-negative and costs finite.
 func (g *Graph) AddArc(from, to int, capacity int64, cost float64) ArcID {
@@ -101,8 +93,20 @@ func NewSolver(g *Graph, s, t int) *Solver {
 	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
 		panic(fmt.Sprintf("mincostflow: invalid terminals s=%d t=%d (n=%d)", s, t, g.numNodes))
 	}
-	sv := &Solver{}
-	sv.Reset(g, s, t)
+	n := g.numNodes
+	sv := &Solver{
+		g: g, s: s, t: t,
+		pot:  make([]float64, n),
+		dist: make([]float64, n),
+		prev: make([]int32, n),
+		heap: pqueue.NewIndexedMinHeap(n),
+	}
+	for i := 0; i < len(g.cost); i += 2 {
+		if g.cap[i] > 0 && g.cost[i] < 0 {
+			sv.bellmanFordPotentials()
+			break
+		}
+	}
 	return sv
 }
 
@@ -206,13 +210,9 @@ func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
 
 // dijkstra computes reduced-cost shortest paths from s, filling dist and
 // prev. It reports whether t is reachable.
-func (sv *Solver) dijkstra() bool { return sv.dijkstraFrom(sv.s, sv.t) }
-
-// dijkstraFrom computes reduced-cost shortest paths from src, filling dist
-// and prev. It reports whether dst is reachable. The warm-start retreat
-// phase roots it at the sink; everything else roots it at the source.
-func (sv *Solver) dijkstraFrom(src, dst int) bool {
+func (sv *Solver) dijkstra() bool {
 	g := sv.g
+	src := sv.s
 	for i := range sv.dist {
 		sv.dist[i] = math.MaxFloat64
 		sv.prev[i] = -1
@@ -243,7 +243,7 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 			}
 		}
 	}
-	return sv.dist[dst] != math.MaxFloat64
+	return sv.dist[sv.t] != math.MaxFloat64
 }
 
 // AugmentBelow is like Augment but pushes only when the shortest augmenting

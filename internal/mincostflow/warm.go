@@ -1,224 +1,218 @@
 package mincostflow
 
-import (
-	"math"
-
-	"github.com/ebsnlab/geacc/internal/pqueue"
-)
-
-// Warm-started SSPA. A dirty-component rebalance re-solves a network that
-// differs from the previous solve by a handful of arcs. Instead of starting
-// from zero flow and zero potentials, the caller rebuilds the (slightly
-// changed) network, force-restores the surviving flow units with PushFlow,
-// and calls WarmStart: it repairs optimality (the delta may have created
-// negative-cost residual cycles through the restored flow), recovers valid
-// node potentials seeded from the previous solve, and leaves the Solver
-// ready for the usual Augment/AugmentBelow loop — which now only has the
-// delta's marginal units left to push instead of the whole flow.
+// Warm-started SSP on the bipartite kernel. A dirty-component rebalance
+// re-solves a network that differs from the previous solve by a handful of
+// entities. Instead of starting from zero flow and zero potentials, the
+// caller loads the (slightly changed) network, force-restores the surviving
+// flow units with Restore, and calls WarmStart: it repairs optimality (the
+// delta may have created negative-cost residual cycles through the
+// restored flow), recovers valid node potentials seeded from the previous
+// solve, and leaves the kernel ready for the usual AugmentBelow loop —
+// which now only has the delta's marginal units left to push.
 //
 // RetreatAbove is the reverse move: when a delta removed capacity or made
 // restored units unprofitable under the caller's stopping rule, it pops
 // single units back from sink to source along cheapest residual paths.
 
-// PushFlow forces units of flow onto the arc if its residual capacity
-// allows, returning whether the push happened. This bypasses path search
-// entirely — it is the restore primitive for warm starts and may leave the
-// flow non-optimal until WarmStart repairs it.
-func (g *Graph) PushFlow(id ArcID, units int64) bool {
-	a := int32(id)
-	if units <= 0 || int(a) < 0 || int(a) >= len(g.cap) {
+// Restore forces one unit of flow along source → v → u → sink when all
+// three arcs have residual capacity, reporting whether it did. It bypasses
+// path search and may leave the flow non-optimal until WarmStart repairs
+// it.
+func (k *Bipartite) Restore(v, u int) bool {
+	if k.resV[v] <= 0 || k.resU[u] <= 0 || k.flow[v*k.nu+u] {
 		return false
 	}
-	if g.cap[a] < units {
-		return false
-	}
-	g.cap[a] -= units
-	g.cap[a^1] += units
+	k.resV[v]--
+	k.resU[u]--
+	k.flow[v*k.nu+u] = true
+	k.addMatched(int32(u), int32(v))
 	return true
 }
 
-// Residual returns the arc's remaining (unused) capacity. Callers restoring
-// flow use it to check all three arcs of a unit path before pushing.
-func (g *Graph) Residual(id ArcID) int64 { return g.cap[int32(id)] }
-
-// ClearFlow removes all flow from the network, returning every forward arc
-// to its original capacity. It is the cold-fallback escape hatch when a
-// warm start cannot be repaired.
-func (g *Graph) ClearFlow() {
-	for a := 0; a+1 < len(g.cap); a += 2 {
-		g.cap[a] += g.cap[a+1]
-		g.cap[a+1] = 0
-	}
-}
-
-// Potentials appends nothing and copies the solver's current node
-// potentials into out (grown as needed), returning the slice. Valid after a
-// solve; feed it to a later WarmStart on a related network.
-func (sv *Solver) Potentials(out []float64) []float64 {
-	out = resizeFloats(out, len(sv.pot))
-	copy(out, sv.pot)
-	return out
+// ClearFlow removes all flow and zeroes potentials and totals: the kernel
+// is back in its just-loaded state. It is the cold-fallback escape hatch
+// when a warm start cannot be repaired.
+func (k *Bipartite) ClearFlow() {
+	clear(k.flow)
+	clear(k.nMatched)
+	copy(k.resV, k.capV)
+	copy(k.resU, k.capU)
+	clear(k.pot)
+	k.totalFlow, k.totalCost = 0, 0
 }
 
 // WarmStats reports what a WarmStart did.
 type WarmStats struct {
 	RestoredFlow   int64 // flow units found on the network at start
 	CyclesCanceled int   // negative residual cycles repaired
-	OK             bool  // false: caller must ClearFlow + Reset and go cold
+	OK             bool  // false: caller must ClearFlow and go cold
 }
 
-// WarmStart prepares the Solver for an SSPA run on a network that already
-// carries flow (restored via PushFlow). It
+// WarmStart prepares the kernel for an SSP run on a network that already
+// carries flow (restored via Restore). It
 //
 //  1. cancels any negative-cost residual cycles the restored flow forms
 //     with the delta's new arcs, re-establishing that the current flow is a
 //     minimum-cost flow of its amount;
-//  2. recomputes TotalFlow/TotalCost from the arc flows; and
+//  2. recomputes TotalFlow/TotalCost from the pair flows; and
 //  3. recovers valid node potentials (all residual reduced costs
-//     non-negative) by Bellman-Ford relaxation seeded from prevPot — nodes
+//     non-negative) by Bellman–Ford relaxation seeded from prevPot — nodes
 //     beyond len(prevPot) start at zero. Seeding from the previous solve's
 //     potentials makes the relaxation converge in a pass or two on small
-//     deltas instead of the cold pass over the whole network.
+//     deltas instead of a cold pass over the whole network.
 //
-// On success the Solver behaves exactly as if Augment had pushed the
-// restored flow itself: successive Augment/AugmentBelow calls yield
-// non-decreasing unit costs and bit-exact optima. OK=false means repair did
-// not converge (pathological float noise); the caller should ClearFlow,
-// Reset, and solve cold.
-func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
-	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
-		panic("mincostflow: invalid terminals in WarmStart")
-	}
-	n := g.numNodes
-	sv.g, sv.s, sv.t = g, s, t
-	sv.dist = resizeFloats(sv.dist, n)
-	sv.prev = resizeInt32s(sv.prev, n)
-	if sv.heap == nil {
-		sv.heap = pqueue.NewIndexedMinHeap(n)
-	} else {
-		sv.heap.Resize(n)
-	}
-
+// On success the kernel behaves exactly as if AugmentBelow had pushed the
+// restored flow itself: successive calls yield non-decreasing unit costs
+// and the same optima. OK=false means repair did not converge
+// (pathological float noise); the caller should ClearFlow and solve cold.
+func (k *Bipartite) WarmStart(prevPot []float64) WarmStats {
+	n := len(k.pot)
 	st := WarmStats{}
 	// Repair optimality: the restored flow plus delta arcs may admit
 	// negative-cost residual cycles; cancel until none remain. The bound is
 	// generous — a small delta creates at most a few — and overrunning it
 	// signals a pathological instance better served cold.
 	maxCancel := n + 64
-	for st.CyclesCanceled < maxCancel {
-		cycle := findNegativeCycle(g)
-		if cycle == nil {
-			break
-		}
-		bottleneck := int64(math.MaxInt64)
-		for _, a := range cycle {
-			if g.cap[a] < bottleneck {
-				bottleneck = g.cap[a]
-			}
-		}
-		for _, a := range cycle {
-			g.cap[a] -= bottleneck
-			g.cap[int32(a)^1] += bottleneck
-		}
+	for st.CyclesCanceled < maxCancel && k.cancelNegativeCycle() {
 		st.CyclesCanceled++
 	}
 	if st.CyclesCanceled >= maxCancel {
 		return st // OK=false: cancelation did not converge
 	}
 
-	// Recompute totals from arc flows. Net flow out of s: forward arcs in
-	// s's adjacency carry flow out, residual twins in s's adjacency mean
-	// their forward arc carries flow in.
-	sv.totalFlow = 0
-	sv.totalCost = 0
-	for a := g.head[s]; a >= 0; a = g.next[a] {
-		if a%2 == 0 {
-			sv.totalFlow += g.Flow(ArcID(a))
-		} else {
-			sv.totalFlow -= g.cap[a]
+	k.totalFlow, k.totalCost = 0, 0
+	for v, c := range k.capV {
+		k.totalFlow += c - k.resV[v]
+	}
+	for i, f := range k.flow {
+		if f {
+			k.totalCost += k.cost[i]
 		}
 	}
-	for a := 0; a+1 < len(g.cost); a += 2 {
-		if f := g.cap[a+1]; f > 0 {
-			sv.totalCost += float64(f) * g.cost[a]
-		}
-	}
-	st.RestoredFlow = sv.totalFlow
+	st.RestoredFlow = k.totalFlow
 
 	// Recover valid potentials: relax pot[w] <= pot[v] + cost(v,w) over
-	// every positive-capacity residual arc, seeded from the previous
-	// solve's potentials. Absent negative cycles (just canceled) this is a
-	// difference-constraint system; relaxation converges in at most n
-	// passes, and with a good seed typically one or two.
-	sv.pot = resizeFloats(sv.pot, n)
-	for i := range sv.pot {
+	// every residual arc, seeded from the previous solve's potentials.
+	// Absent negative cycles (just canceled) this is a difference-constraint
+	// system; relaxation converges in at most n passes, and with a good
+	// seed typically one or two.
+	for i := range k.pot {
 		if i < len(prevPot) {
-			sv.pot[i] = prevPot[i]
+			k.pot[i] = prevPot[i]
 		} else {
-			sv.pot[i] = 0
+			k.pot[i] = 0
 		}
 	}
-	converged := false
 	for iter := 0; iter < n+1; iter++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			for a := g.head[v]; a >= 0; a = g.next[a] {
-				if g.cap[a] <= 0 {
-					continue
-				}
-				if nd := sv.pot[v] + g.cost[a]; nd < sv.pot[g.to[a]] {
-					sv.pot[g.to[a]] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			converged = true
+		if k.relaxResidual(k.pot, 0) < 0 {
+			st.OK = true
 			break
 		}
 	}
-	st.OK = converged
 	return st
 }
 
+// cancelNegativeCycle runs Bellman–Ford over the residual network from a
+// virtual source joined to every node and, if a negative-cost cycle
+// exists, pushes one unit around it (every negative cycle holds a
+// unit-capacity pair arc). A tiny epsilon keeps floating-point noise from
+// canceling "cycles" of cost ~0 forever.
+func (k *Bipartite) cancelNegativeCycle() bool {
+	const eps = 1e-12
+	n := len(k.dist)
+	clear(k.dist)
+	for i := range k.prev {
+		k.prev[i] = -1
+	}
+	last := int32(-1)
+	for iter := 0; iter < n; iter++ {
+		if last = k.relaxResidual(k.dist, eps); last < 0 {
+			return false
+		}
+	}
+	// A relaxation happened on the n-th pass: walk predecessors n times to
+	// land inside the cycle, then push around it.
+	x := last
+	for i := 0; i < n; i++ {
+		x = k.prev[x]
+	}
+	for w := x; ; {
+		p := k.prev[w]
+		k.push(p, w)
+		if w = p; w == x {
+			return true
+		}
+	}
+}
+
+// relaxResidual makes one Bellman–Ford pass over every residual arc,
+// lowering d[to] to d[from] + cost whenever that beats it by more than eps
+// and recording the predecessor in prev. It returns the last node lowered,
+// or -1 when the pass changed nothing.
+func (k *Bipartite) relaxResidual(d []float64, eps float64) int32 {
+	nv, nu := k.nv, k.nu
+	t := k.sink()
+	last := int32(-1)
+	relax := func(from, to int32, cost float64) {
+		if nd := d[from] + cost; nd < d[to]-eps {
+			d[to] = nd
+			k.prev[to] = from
+			last = to
+		}
+	}
+	for v := 0; v < nv; v++ {
+		x := int32(1 + v)
+		if k.resV[v] > 0 {
+			relax(0, x, 0)
+		}
+		if k.resV[v] < k.capV[v] {
+			relax(x, 0, 0)
+		}
+		for u, c := range k.cost[v*nu : (v+1)*nu] {
+			y := int32(1 + nv + u)
+			if k.flow[v*nu+u] {
+				relax(y, x, -c)
+			} else {
+				relax(x, y, c)
+			}
+		}
+	}
+	for u := 0; u < nu; u++ {
+		y := int32(1 + nv + u)
+		if k.resU[u] > 0 {
+			relax(y, t, 0)
+		}
+		if k.resU[u] < k.capU[u] {
+			relax(t, y, 0)
+		}
+	}
+	return last
+}
+
 // RetreatAbove pops one unit of flow back from sink to source along the
-// cheapest residual t->s path when undoing that unit recovers at least
-// costBound — i.e. the marginal unit currently in the flow costs >= the
-// caller's stopping bound and would never have been pushed by
-// AugmentBelow(..., costBound) on a cold run. ok=false means no unit
-// qualifies (or no flow remains) and the retreat phase is done.
+// cheapest residual sink→source path when undoing that unit recovers at
+// least costBound — i.e. the marginal unit currently in the flow costs
+// costBound or more and would never have been pushed by
+// AugmentBelow(costBound) on a cold run. ok=false means no unit qualifies
+// (or no flow remains) and the retreat phase is done.
 //
-// Requires valid potentials (after WarmStart or previous solver calls);
-// like Augment it updates potentials so future reduced costs stay
+// Requires valid potentials (after WarmStart or earlier augmentations);
+// like AugmentBelow it updates potentials so later reduced costs stay
 // non-negative.
-func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
-	if sv.totalFlow <= 0 {
+func (k *Bipartite) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
+	t := k.sink()
+	if k.totalFlow <= 0 || !k.dijkstra(t, 0) {
 		return 0, false
 	}
-	if !sv.dijkstraFrom(sv.t, sv.s) {
-		return 0, false
-	}
-	// True cost of sending one unit t->s; undoing a forward unit "refunds"
+	// True cost of sending one unit t→s; undoing a forward unit "refunds"
 	// -reverseCost, so retreat while reverseCost <= -costBound.
-	reverseCost := sv.dist[sv.s] + sv.pot[sv.s] - sv.pot[sv.t]
+	reverseCost := k.dist[0] + k.pot[0] - k.pot[t]
 	if reverseCost > -costBound {
 		return reverseCost, false
 	}
-	g := sv.g
-	for v := 0; v < g.numNodes; v++ {
-		if sv.dist[v] == math.MaxFloat64 {
-			sv.pot[v] += sv.dist[sv.s]
-		} else {
-			sv.pot[v] += sv.dist[v]
-		}
-	}
-	for v := sv.s; v != sv.t; {
-		a := sv.prev[v]
-		g.cap[a] -= 1
-		g.cap[int32(a)^1] += 1
-		v = int(g.to[int32(a)^1])
-	}
-	sv.totalFlow--
-	sv.totalCost += reverseCost
+	k.settle(0)
+	k.pushPath(t, 0)
+	k.totalFlow--
+	k.totalCost += reverseCost
 	return reverseCost, true
 }

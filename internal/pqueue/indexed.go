@@ -85,25 +85,6 @@ func (h *IndexedMinHeap) Reset() {
 	h.keys = h.keys[:0]
 }
 
-// Resize empties the heap and re-targets it at the key space [0, n),
-// growing storage only when the new space exceeds the old capacity. Slots
-// carried over keep the "absent" invariant (every entry ever touched is
-// restored to -1 by Reset/Pop), so no O(n) refill is needed on the reuse
-// path — the property the pooled min-cost-flow solver relies on.
-func (h *IndexedMinHeap) Resize(n int) {
-	h.Reset()
-	if cap(h.pos) < n {
-		h.pos = make([]int, n)
-		h.prio = make([]float64, n)
-		for i := range h.pos {
-			h.pos[i] = -1
-		}
-		return
-	}
-	h.pos = h.pos[:n]
-	h.prio = h.prio[:n]
-}
-
 func (h *IndexedMinHeap) less(i, j int) bool {
 	return h.prio[h.keys[i]] < h.prio[h.keys[j]]
 }

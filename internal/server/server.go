@@ -396,8 +396,9 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// matching, diagnostics, even the original solve's timing — verbatim,
 	// which is by construction bit-for-bit what a fresh solve of the same
 	// content would produce. Hits happen before the solve window mints an
-	// observation (nothing was solved). The portfolio is excluded: its
-	// winner depends on a wall-clock race, not only on content.
+	// observation (nothing was solved). The portfolio is excluded, although
+	// its result is deterministic per content and seed: core.PortfolioCtx
+	// waits for every member and picks the best in member order.
 	var cacheKey solvecache.Key
 	cacheUsable := false
 	if s.solveCache != nil && algo != "portfolio" && !cacheBypassed(r) {

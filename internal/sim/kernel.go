@@ -278,7 +278,10 @@ func (k *Kernel) euclideanBatch(query Vector, lo, hi int, out []float64) {
 // dot, na, nb in three independent variables over the same index loop;
 // independence means precomputing na (the query norm) once and nb (the row
 // norms) at build time yields the very same float64 values, and the final
-// dot/√(na·nb) expression is reproduced verbatim.
+// dot/√(na·nb) expression is reproduced verbatim. Four rows share one pass
+// over the query: each keeps its own sequential accumulator, so the chains
+// overlap in the pipeline while every dot product stays bit-identical to
+// the closure's.
 func (k *Kernel) cosineBatch(query Vector, lo, hi int, out []float64) {
 	d := k.flat.d
 	if len(query) != d {
@@ -288,33 +291,47 @@ func (k *Kernel) cosineBatch(query Vector, lo, hi int, out []float64) {
 	qn := sumSquares(q)
 	data := k.flat.data
 	norms := k.flat.norms
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := data[i*d : i*d+d]
+		r1 := data[(i+1)*d : (i+1)*d+d]
+		r2 := data[(i+2)*d : (i+2)*d+d]
+		r3 := data[(i+3)*d : (i+3)*d+d]
+		var d0, d1, d2, d3 float64
+		for j, qj := range q {
+			d0 += qj * r0[j]
+			d1 += qj * r1[j]
+			d2 += qj * r2[j]
+			d3 += qj * r3[j]
+		}
+		out[i-lo] = cosineOf(d0, qn, norms[i])
+		out[i+1-lo] = cosineOf(d1, qn, norms[i+1])
+		out[i+2-lo] = cosineOf(d2, qn, norms[i+2])
+		out[i+3-lo] = cosineOf(d3, qn, norms[i+3])
+	}
+	for ; i < hi; i++ {
 		row := data[i*d : i*d+d]
 		var dot float64
-		j := 0
-		for ; j+4 <= d; j += 4 {
-			dot += q[j] * row[j]
-			dot += q[j+1] * row[j+1]
-			dot += q[j+2] * row[j+2]
-			dot += q[j+3] * row[j+3]
+		for j, qj := range q {
+			dot += qj * row[j]
 		}
-		for ; j < d; j++ {
-			dot += q[j] * row[j]
-		}
-		rn := norms[i]
-		if qn == 0 || rn == 0 {
-			out[i-lo] = 0
-			continue
-		}
-		s := dot / math.Sqrt(qn*rn)
-		switch {
-		case s < 0:
-			s = 0
-		case s > 1:
-			s = 1
-		}
-		out[i-lo] = s
+		out[i-lo] = cosineOf(dot, qn, norms[i])
 	}
+}
+
+// cosineOf finishes the Cosine() closure from its three accumulators.
+func cosineOf(dot, qn, rn float64) float64 {
+	if qn == 0 || rn == 0 {
+		return 0
+	}
+	s := dot / math.Sqrt(qn*rn)
+	switch {
+	case s < 0:
+		return 0
+	case s > 1:
+		return 1
+	}
+	return s
 }
 
 // manhattanBatch is the Manhattan(d, maxT) closure over a block: sequential
