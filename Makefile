@@ -5,7 +5,7 @@ GO        ?= go
 PKGS      := ./...
 # Packages whose concurrency is exercised hardest; `make race` runs them
 # under the race detector (the full suite under -race is `make race-all`).
-RACE_PKGS := ./internal/obs ./internal/server ./internal/core ./internal/decomp ./internal/store ./internal/solvecache ./internal/partition ./internal/mincostflow
+RACE_PKGS := ./internal/obs ./internal/server ./internal/core ./internal/decomp ./internal/store ./internal/solvecache ./internal/partition ./internal/mincostflow ./internal/pipeline
 BENCH     ?= .
 BENCH_FLAGS := -benchmem -benchtime=1x
 

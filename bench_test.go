@@ -104,13 +104,9 @@ func defaultInstance(b *testing.B, scale float64) *core.Instance {
 
 func benchmarkSolver(b *testing.B, name string, scale float64) {
 	in := defaultInstance(b, scale)
-	solve, err := core.LookupSolver(name)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bench.Measure(in, solve, int64(i)); err != nil {
+		if _, _, _, err := bench.MeasureAlgo(bench.Options{}, in, name, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,16 +26,15 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/buildinfo"
 	"github.com/ebsnlab/geacc/internal/core"
-	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/obs"
 	"github.com/ebsnlab/geacc/internal/partition"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 	"github.com/ebsnlab/geacc/internal/report"
 	"github.com/ebsnlab/geacc/internal/store"
 )
@@ -52,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 	inPath := fs.String("in", "", "instance JSON file (required unless -replay)")
 	replayDir := fs.String("replay", "",
 		"replay a geacc-server instance directory (meta.json + ops.jsonl + snapshot.json) offline and print its arrangement")
-	algo := fs.String("algo", "greedy", fmt.Sprintf("algorithm: %v or portfolio", core.SolverNames()))
+	algo := fs.String("algo", "greedy", fmt.Sprintf("algorithm: %v", core.SolverNames()))
 	format := fs.String("format", "json", "output format: json or csv")
 	outPath := fs.String("out", "", "write the matching here instead of stdout")
 	sessionPath := fs.String("session", "", "also archive instance+matching+metadata (JSON) here")
@@ -101,14 +100,29 @@ func run(args []string, stdout io.Writer) error {
 	if *diagOut != "" {
 		*diag = true
 	}
+	spec := pipeline.Spec{
+		Algo:      *algo,
+		Seed:      *seed,
+		Decompose: *decompose,
+		Workers:   *decompWorkers,
+		Diag:      *diag,
+	}
+	if *index != "" {
+		if spec.Index, err = indexKindByName(*index); err != nil {
+			return err
+		}
+	}
 	if *approxShard {
-		*decompose = true // sharding rides on the decomposition worker pool
-	}
-	if *decompose && *algo == "portfolio" {
-		return fmt.Errorf("-decompose does not compose with -algo portfolio (the portfolio already parallelizes)")
-	}
-	if *decompose && *index != "" {
-		return fmt.Errorf("-decompose does not compose with -index (components use the default greedy index)")
+		strat, err := partition.ParseStrategy(*shardStrategy)
+		if err != nil {
+			return err
+		}
+		sh := partition.Options{
+			MaxArea:     *shardMaxArea,
+			Strategy:    strat,
+			DriftBudget: *shardDriftBudget,
+		}.Normalized()
+		spec.Shard = &sh
 	}
 
 	f, err := os.Open(*inPath)
@@ -121,83 +135,20 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Diagnosed or traced runs carry a span recorder on the context so the
-	// solvers' phase spans are captured; plain runs skip the bookkeeping.
+	// Traced runs carry a span recorder on the context so the solvers'
+	// phase spans are captured (diagnosed runs reuse it); plain runs skip
+	// the bookkeeping.
 	ctx := context.Background()
 	var rec *obs.Recorder
-	var countersBefore map[string]int64
-	if *diag || *traceOut != "" {
+	if *traceOut != "" {
 		rec = obs.NewRecorder()
 		ctx = obs.ContextWithRecorder(ctx, rec)
-		countersBefore = obs.Default().Counters()
 	}
-
-	var m *core.Matching
-	var decompStats *core.DecompositionStats
-	var partStats *core.PartitionStats
-	start := time.Now()
-	if *decompose {
-		dopt := decomp.Options{Workers: *decompWorkers, Seed: *seed}
-		if *approxShard {
-			strat, err := partition.ParseStrategy(*shardStrategy)
-			if err != nil {
-				return err
-			}
-			sh := partition.Options{
-				MaxArea:     *shardMaxArea,
-				Strategy:    strat,
-				DriftBudget: *shardDriftBudget,
-			}.Normalized()
-			dopt.Shard = &sh
-		}
-		d, derr := decomp.DecomposeContext(ctx, in)
-		if derr != nil {
-			return derr
-		}
-		if m, err = d.SolveContext(ctx, *algo, dopt); err != nil {
-			return err
-		}
-		decompStats = d.Stats(dopt.Workers)
-		partStats = d.PartitionStats()
-	} else if *algo == "portfolio" {
-		// Race the practical solvers concurrently and keep the best.
-		best, _, err := core.PortfolioCtx(ctx, in,
-			[]string{"greedy", "mincostflow", "random-v", "random-u"}, *seed)
-		if err != nil {
-			return err
-		}
-		m = best
-	} else if *algo == "greedy" && *index != "" {
-		kind, err := indexKindByName(*index)
-		if err != nil {
-			return err
-		}
-		m, err = core.GreedyCtx(ctx, in, core.GreedyOptions{Index: kind})
-		if err != nil {
-			return err
-		}
-	} else {
-		if m, err = core.SolveContext(ctx, *algo, in, rand.New(rand.NewSource(*seed))); err != nil {
-			return err
-		}
+	res, err := pipeline.Run(ctx, in, spec)
+	if err != nil {
+		return err
 	}
-	elapsed := time.Since(start)
-	if err := core.Validate(in, m); err != nil {
-		return fmt.Errorf("internal error: infeasible matching: %w", err)
-	}
-
-	var diagDoc *core.Diagnostics
-	if *diag {
-		diagDoc = core.BuildDiagnostics(*algo, in, m, elapsed, rec.Spans(),
-			obs.DiffCounters(countersBefore, obs.Default().Counters()))
-		diagDoc.Decomposition = decompStats
-		if partStats != nil {
-			// BoundLoss is the measured loss vs the unsharded Corollary 1
-			// relaxation bound — exactly the diagnostics gap of this run.
-			partStats.BoundLoss = diagDoc.Gap
-			diagDoc.Partition = partStats
-		}
-	}
+	m, elapsed, diagDoc := res.Matching, res.Elapsed, res.Diagnostics
 	if *sessionPath != "" {
 		sf, err := os.Create(*sessionPath)
 		if err != nil {
@@ -218,24 +169,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	out := stdout
-	if *outPath != "" {
-		of, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer of.Close()
-		out = of
-	}
-	switch *format {
-	case "json":
-		err = encoding.EncodeMatching(out, m)
-	case "csv":
-		err = encoding.WriteMatchingCSV(out, m)
-	default:
-		return fmt.Errorf("unknown format %q (json or csv)", *format)
-	}
-	if err != nil {
+	if err := writeMatching(stdout, *outPath, *format, m); err != nil {
 		return err
 	}
 	if !*quiet {
@@ -244,10 +178,10 @@ func run(args []string, stdout io.Writer) error {
 			"conflicts", conflictCount(in), "pairs", m.Size(),
 			"max_sum", m.MaxSum(), "seconds", elapsed.Seconds(),
 		}
-		if decompStats != nil {
-			attrs = append(attrs, "components", decompStats.Components)
+		if res.Decomposition != nil {
+			attrs = append(attrs, "components", res.Decomposition.Components)
 		}
-		if partStats != nil {
+		if partStats := res.Partition; partStats != nil {
 			attrs = append(attrs, "shards", partStats.Shards,
 				"shard_fallbacks", partStats.Fallbacks,
 				"max_drift_estimate", partStats.MaxDriftEstimate)
@@ -295,24 +229,7 @@ func runReplay(dir, format, outPath string, quiet bool, stdout io.Writer, logger
 	if err := core.Validate(in, m); err != nil {
 		return fmt.Errorf("replayed arrangement is infeasible (corrupt log?): %w", err)
 	}
-	out := stdout
-	if outPath != "" {
-		of, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer of.Close()
-		out = of
-	}
-	switch format {
-	case "json":
-		err = encoding.EncodeMatching(out, m)
-	case "csv":
-		err = encoding.WriteMatchingCSV(out, m)
-	default:
-		return fmt.Errorf("unknown format %q (json or csv)", format)
-	}
-	if err != nil {
+	if err := writeMatching(stdout, outPath, format, m); err != nil {
 		return err
 	}
 	if !quiet {
@@ -324,6 +241,31 @@ func runReplay(dir, format, outPath string, quiet bool, stdout io.Writer, logger
 			"dirty_events", len(state.DirtyEvents), "dirty_users", len(state.DirtyUsers))
 	}
 	return nil
+}
+
+// writeMatching writes m as JSON or CSV to path, or to stdout when path is
+// empty.
+func writeMatching(stdout io.Writer, path, format string, m *core.Matching) error {
+	write := encoding.EncodeMatching
+	switch format {
+	case "json":
+	case "csv":
+		write = encoding.WriteMatchingCSV
+	default:
+		return fmt.Errorf("unknown format %q (json or csv)", format)
+	}
+	if path == "" {
+		return write(stdout, m)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f, m)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeDiagnostics emits the artifact as indented JSON, to stderr by

@@ -37,14 +37,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
-	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/partition"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 	"github.com/ebsnlab/geacc/internal/sim"
-	"github.com/ebsnlab/geacc/internal/solvecache"
 )
 
 // Event is an event: its attribute vector and attendee capacity.
@@ -80,32 +78,22 @@ const (
 	RandomU
 )
 
+// algorithmNames maps each Algorithm to its registry name.
+var algorithmNames = [...]string{
+	Greedy: "greedy", MinCostFlow: "mincostflow", Exact: "exact", RandomV: "random-v", RandomU: "random-u",
+}
+
 // String returns the algorithm's registry name.
 func (a Algorithm) String() string {
-	switch a {
-	case Greedy:
-		return "greedy"
-	case MinCostFlow:
-		return "mincostflow"
-	case Exact:
-		return "exact"
-	case RandomV:
-		return "random-v"
-	case RandomU:
-		return "random-u"
-	default:
+	if a < 0 || int(a) >= len(algorithmNames) {
 		return "unknown"
 	}
+	return algorithmNames[a]
 }
 
 // Problem is a GEACC instance ready to solve.
 type Problem struct {
 	in *core.Instance
-	// simID is the canonical similarity identity for solve-cache keying
-	// ("euclidean/4/100", "cosine", ...); empty for custom similarity
-	// functions, whose content the cache cannot hash (such problems always
-	// solve fresh). Matrix problems are self-describing and need no id.
-	simID string
 }
 
 // Option configures NewProblem.
@@ -113,7 +101,6 @@ type Option func(*problemConfig) error
 
 type problemConfig struct {
 	simFunc      sim.Func
-	simID        string
 	matrix       [][]float64
 	pairs        [][2]int
 	hasSchedules bool
@@ -129,7 +116,6 @@ func WithEuclideanSimilarity(d int, maxT float64) Option {
 			return fmt.Errorf("geacc: euclidean similarity needs d > 0 and maxT > 0")
 		}
 		c.simFunc = sim.Euclidean(d, maxT)
-		c.simID = fmt.Sprintf("euclidean/%d/%v", d, maxT)
 		return nil
 	}
 }
@@ -138,7 +124,6 @@ func WithEuclideanSimilarity(d int, maxT float64) Option {
 func WithCosineSimilarity() Option {
 	return func(c *problemConfig) error {
 		c.simFunc = sim.Cosine()
-		c.simID = "cosine"
 		return nil
 	}
 }
@@ -151,7 +136,6 @@ func WithSimilarityFunc(f func(a, b []float64) float64) Option {
 			return errors.New("geacc: nil similarity function")
 		}
 		c.simFunc = func(a, b sim.Vector) float64 { return f(a, b) }
-		c.simID = "" // opaque: uncacheable
 		return nil
 	}
 }
@@ -235,7 +219,7 @@ func NewProblem(events []Event, users []User, opts ...Option) (*Problem, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{in: in, simID: cfg.simID}, nil
+	return &Problem{in: in}, nil
 }
 
 // NumEvents returns |V|.
@@ -268,11 +252,6 @@ type SolveOptions struct {
 	// DecomposeWorkers bounds the component worker pool; <= 0 means
 	// GOMAXPROCS. The matching is identical for any worker count.
 	DecomposeWorkers int
-	// DisableCache skips the package's content-addressed solve memo cache
-	// for this call. The cache only ever serves results bit-identical to a
-	// fresh solve (see internal/solvecache), so disabling it is for
-	// benchmarking, not correctness.
-	DisableCache bool
 	// ApproxShard, when non-nil, enables approximate sharding of oversized
 	// components (implies Decompose): components whose |V|·|U| exceeds
 	// MaxArea split into balanced sub-shards with a bounded-drift merge
@@ -295,11 +274,6 @@ type ApproxShardOptions struct {
 	DriftBudget float64
 }
 
-// facadeCache memoizes Solve results across Problem values by content
-// hash: rebuilding an identical problem and solving it again is a hit.
-// Custom similarity functions are uncacheable and always solve fresh.
-var facadeCache = solvecache.New(256)
-
 // ErrBudgetExceeded reports that Exact hit its node limit; the returned
 // matching is feasible but possibly sub-optimal.
 var ErrBudgetExceeded = core.ErrNodeLimit
@@ -309,90 +283,35 @@ func (p *Problem) Solve(algo Algorithm) (*Matching, error) {
 	return p.SolveOpts(algo, SolveOptions{})
 }
 
-// SolveOpts runs the chosen algorithm.
+// SolveOpts runs the chosen algorithm. Results are not memoized: callers
+// that repeat identical solves keep their own cache.
 func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error) {
-	var key solvecache.Key
-	cacheable := false
-	if !opt.DisableCache {
-		spec := solvecache.KeySpec{
-			Algo:      algo.String(),
-			Seed:      opt.Seed,
-			SimID:     p.simID,
-			Decompose: opt.Decompose,
-			Workers:   opt.DecomposeWorkers,
-			NodeLimit: opt.ExactNodeLimit,
-		}
-		if as := opt.ApproxShard; as != nil {
-			// Sharded merges differ from plain decomposed solves, and every
-			// knob changes the split — all of it keys.
-			sh := shardOptions(*as)
-			spec.Decompose = true
-			spec.ApproxShard = true
-			spec.ShardMaxArea = sh.MaxArea
-			spec.ShardStrategy = string(sh.Strategy)
-			spec.ShardDriftBudget = sh.DriftBudget
-		}
-		key, cacheable = solvecache.InstanceKey(p.in, spec)
-		if cacheable {
-			if v, ok := facadeCache.Get(key); ok {
-				return v.(*Matching).Clone(), nil
-			}
-		}
+	spec := pipeline.Spec{
+		Algo:      algo.String(),
+		Seed:      opt.Seed,
+		Decompose: opt.Decompose,
+		Workers:   opt.DecomposeWorkers,
+		NodeLimit: opt.ExactNodeLimit,
 	}
-	m, err := p.solveOpts(algo, opt)
-	if err == nil && cacheable && m != nil {
-		facadeCache.Put(key, m.Clone())
+	if as := opt.ApproxShard; as != nil {
+		strat, err := partition.ParseStrategy(as.Strategy)
+		if err != nil {
+			return nil, err
+		}
+		sh := partition.Options{MaxArea: as.MaxArea, Strategy: strat, DriftBudget: as.DriftBudget}.Normalized()
+		spec.Shard = &sh
 	}
-	return m, err
+	return p.run(spec)
 }
 
-// shardOptions maps the facade's ApproxShardOptions onto the partition
-// layer's option struct, normalizing defaults.
-func shardOptions(as ApproxShardOptions) partition.Options {
-	return partition.Options{
-		MaxArea:     as.MaxArea,
-		Strategy:    partition.Strategy(as.Strategy),
-		DriftBudget: as.DriftBudget,
-	}.Normalized()
-}
-
-// solveOpts is SolveOpts without the memo cache.
-func (p *Problem) solveOpts(algo Algorithm, opt SolveOptions) (*Matching, error) {
-	if opt.Decompose || opt.ApproxShard != nil {
-		name := algo.String()
-		if _, err := core.LookupSolver(name); err != nil {
-			return nil, fmt.Errorf("geacc: unknown algorithm %d", int(algo))
-		}
-		dopt := decomp.Options{
-			Workers:        opt.DecomposeWorkers,
-			Seed:           opt.Seed,
-			ExactNodeLimit: opt.ExactNodeLimit,
-		}
-		if as := opt.ApproxShard; as != nil {
-			sh := shardOptions(*as)
-			if _, err := partition.ParseStrategy(as.Strategy); err != nil {
-				return nil, err
-			}
-			dopt.Shard = &sh
-		}
-		m, _, err := decomp.SolveContext(context.Background(), name, p.in, dopt)
-		return m, err
+// run solves through the shared pipeline; a tripped node limit returns
+// the feasible matching with ErrBudgetExceeded.
+func (p *Problem) run(spec pipeline.Spec) (*Matching, error) {
+	res, err := pipeline.Run(context.Background(), p.in, spec)
+	if res == nil {
+		return nil, err
 	}
-	switch algo {
-	case Greedy:
-		return core.Greedy(p.in), nil
-	case MinCostFlow:
-		return core.MinCostFlow(p.in).Matching, nil
-	case Exact:
-		m, _, err := core.ExactOpts(p.in, core.ExactOptions{NodeLimit: opt.ExactNodeLimit})
-		return m, err
-	case RandomV:
-		return core.RandomV(p.in, rand.New(rand.NewSource(opt.Seed))), nil
-	case RandomU:
-		return core.RandomU(p.in, rand.New(rand.NewSource(opt.Seed))), nil
-	default:
-		return nil, fmt.Errorf("geacc: unknown algorithm %d", int(algo))
-	}
+	return res.Matching, err
 }
 
 // UpperBound returns MaxSum(M∅), the optimum of the conflict-free

@@ -52,7 +52,7 @@ func TestMeasureValidatesAndTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, sec, bytes, err := Measure(in, core.Solvers()["greedy"], 3)
+	m, sec, bytes, err := MeasureAlgo(Options{}, in, "greedy", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMeasureRejectsCheatingSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheat := core.Solver(func(in *core.Instance, _ *rand.Rand) *core.Matching {
+	cheat := SolveFunc(func(in *core.Instance, _ *rand.Rand) *core.Matching {
 		m := core.NewMatching()
 		m.Add(0, 0, 0.9) // inconsistent similarity: Validate must catch it
 		return m

@@ -7,6 +7,7 @@ import (
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/dataset"
 	"github.com/ebsnlab/geacc/internal/decomp"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 )
 
 // clusteredInstance builds the clustered counterpart of pinnedInstance: the
@@ -43,7 +44,7 @@ func BenchmarkGreedyDecomposedClusteredV40U400C8(b *testing.B) {
 	in := clusteredInstance(b, 40, 400, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decomp.SolveContext(context.Background(), "greedy", in, decomp.Options{}); err != nil {
+		if _, err := pipeline.Solve(context.Background(), in, pipeline.Spec{Algo: "greedy", Decompose: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

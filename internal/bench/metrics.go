@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/core"
-	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/partition"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 	"github.com/ebsnlab/geacc/internal/stats"
 )
 
@@ -84,32 +84,35 @@ func (o Options) scaleCard(n, min int) int {
 	return s
 }
 
+// SolveFunc is a solver under measurement: solve the instance, drawing
+// any randomness from rng.
+type SolveFunc func(in *core.Instance, rng *rand.Rand) *core.Matching
+
 // Measure runs one solver on one instance, returning the matching together
 // with its wall time and allocated bytes. The matching is validated; an
 // infeasible result is a bug worth failing loudly over.
-func Measure(in *core.Instance, solve core.Solver, seed int64) (*core.Matching, float64, float64, error) {
+func Measure(in *core.Instance, solve SolveFunc, seed int64) (*core.Matching, float64, float64, error) {
 	return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
 		return solve(in, rng), nil
 	}, seed)
 }
 
-// MeasureAlgo resolves a registry solver by name and measures it, routing
-// the solve through the decomposition layer when opt.Decompose is set. The
-// experiments call this so `geacc-bench -decompose` re-runs any sweep in
-// decomposed form.
+// MeasureAlgo measures a registry solver through the shared solve
+// pipeline, decomposed (and sharded) when opt asks, so `geacc-bench
+// -decompose` re-runs any sweep in decomposed form. The decomposed path
+// takes its root seed as the first draw of the rep's stream.
 func MeasureAlgo(opt Options, in *core.Instance, algo string, seed int64) (*core.Matching, float64, float64, error) {
-	if opt.Decompose || opt.Shard != nil {
-		return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
-			m, _, err := decomp.SolveContext(context.Background(), algo, in,
-				decomp.Options{Workers: opt.DecompWorkers, Seed: rng.Int63(), Shard: opt.Shard})
-			return m, err
-		}, seed)
+	spec := pipeline.Spec{Algo: algo, Seed: seed, Decompose: opt.Decompose, Workers: opt.DecompWorkers, Shard: opt.Shard}
+	if spec.Decompose || spec.Shard != nil {
+		spec.Seed = rand.New(rand.NewSource(seed)).Int63()
 	}
-	solve, err := core.LookupSolver(algo)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return Measure(in, solve, seed)
+	return measureErr(in, func(in *core.Instance, _ *rand.Rand) (*core.Matching, error) {
+		res, err := pipeline.Solve(context.Background(), in, spec)
+		if err != nil {
+			return nil, err
+		}
+		return res.Matching, nil
+	}, seed)
 }
 
 func measureErr(in *core.Instance, solve func(*core.Instance, *rand.Rand) (*core.Matching, error), seed int64) (*core.Matching, float64, float64, error) {

@@ -6,8 +6,8 @@ import (
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/dataset"
-	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/partition"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 )
 
 // bridgedInstance builds a small bridged-clustered instance: one giant
@@ -35,11 +35,7 @@ func BenchmarkPartitionShardedClusteredV40U400C8(b *testing.B) {
 	sh := partition.Options{MaxArea: 2000, DriftBudget: 0.9}.Normalized()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := decomp.SolveContext(context.Background(), "mincostflow", in, decomp.Options{Shard: &sh})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := core.Validate(in, m); err != nil {
+		if _, err := pipeline.Run(context.Background(), in, pipeline.Spec{Algo: "mincostflow", Shard: &sh}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +45,7 @@ func BenchmarkPartitionMonolithicClusteredV40U400C8(b *testing.B) {
 	in := bridgedInstance(b, 40, 400, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decomp.SolveContext(context.Background(), "mincostflow", in, decomp.Options{}); err != nil {
+		if _, err := pipeline.Solve(context.Background(), in, pipeline.Spec{Algo: "mincostflow", Decompose: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,11 +31,7 @@ func runTable1(opt Options) ([]Point, error) {
 	expect := map[string]float64{"exact": 4.39, "greedy": 4.28, "mincostflow": 4.13}
 	var points []Point
 	for _, algo := range []string{"exact", "greedy", "mincostflow", "random-v", "random-u"} {
-		solve, err := core.LookupSolver(algo)
-		if err != nil {
-			return nil, err
-		}
-		m, sec, bytes, err := Measure(in, solve, opt.Seed)
+		m, sec, bytes, err := MeasureAlgo(Options{}, in, algo, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +105,7 @@ func runAblationIndex(opt Options) ([]Point, error) {
 	var points []Point
 	for _, kind := range kinds {
 		kind := kind
-		solve := core.Solver(func(in *core.Instance, _ *rand.Rand) *core.Matching {
+		solve := SolveFunc(func(in *core.Instance, _ *rand.Rand) *core.Matching {
 			return core.GreedyOpts(in, core.GreedyOptions{Index: kind})
 		})
 		m, sec, bytes, err := Measure(in, solve, opt.Seed)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,7 +267,7 @@ func TestRandomBaselinesEmptyInstance(t *testing.T) {
 
 func TestSolverRegistry(t *testing.T) {
 	names := SolverNames()
-	want := []string{"exact", "greedy", "mincostflow", "random-u", "random-v"}
+	want := []string{"exact", "greedy", "mincostflow", "portfolio", "random-u", "random-v"}
 	if len(names) != len(want) {
 		t.Fatalf("SolverNames = %v", names)
 	}
@@ -283,8 +284,15 @@ func TestSolverRegistry(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(25))
 	in := randMatrixInstance(rng, 2, 3, 2, 2, 0.3)
-	for name, solve := range Solvers() {
-		m := solve(in, rng)
+	for _, name := range names {
+		s, err := LookupSolver(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Run(context.Background(), in, SolveOptions{Rand: rng})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		mustValidate(t, in, m, name)
 	}
 }

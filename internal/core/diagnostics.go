@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math/rand"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -129,38 +127,10 @@ type PhaseTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// SolveDiagnostics runs the named registry solver like SolveContext and
-// additionally assembles the Diagnostics artifact. A recorder already on
-// ctx is reused (the solve's spans land in it as usual); otherwise a
-// private one is attached so phase timings are always captured. The gap is
-// also published to the obs registry (geacc_solve_gap{algo=…} histogram,
-// geacc_solve_last_gap{algo=…} gauge).
-//
-// Computing RelaxedUpperBound costs one extra min-cost-flow solve of the
-// relaxation; callers on a latency budget should stick to SolveContext.
-func SolveDiagnostics(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, *Diagnostics, error) {
-	rec := obs.RecorderFrom(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.ContextWithRecorder(ctx, rec)
-	}
-	spansBefore := len(rec.Spans())
-	before := obs.Default().Counters()
-	start := time.Now()
-	m, err := SolveContext(ctx, name, in, rng)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, nil, err
-	}
-	deltas := obs.DiffCounters(before, obs.Default().Counters())
-	spans := rec.Spans()[spansBefore:]
-	return m, BuildDiagnostics(name, in, m, elapsed, spans, deltas), nil
-}
-
-// BuildDiagnostics assembles the artifact from an already-completed solve:
-// the server uses it directly for the portfolio path, SolveDiagnostics for
-// everything else. It computes the Corollary 1 bound (one relaxation
-// solve) and publishes the gap metrics as a side effect.
+// BuildDiagnostics assembles the artifact from an already-completed solve
+// (internal/pipeline calls it for every diagnosed solve). It computes the
+// Corollary 1 bound (one relaxation solve) and publishes the gap metrics
+// as a side effect.
 func BuildDiagnostics(algo string, in *Instance, m *Matching, elapsed time.Duration,
 	spans []obs.SpanData, deltas map[string]int64) *Diagnostics {
 	d := &Diagnostics{

@@ -6,15 +6,37 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/ebsnlab/geacc/internal/obs"
 )
+
+// solveDiagnostics solves like SolveContext and assembles the artifact
+// from the run's spans and counter deltas, the way internal/pipeline does:
+// a recorder already on ctx is reused, else a private one is attached.
+func solveDiagnostics(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, *Diagnostics, error) {
+	rec := obs.RecorderFrom(ctx)
+	if rec == nil {
+		rec = obs.NewRecorder()
+		ctx = obs.ContextWithRecorder(ctx, rec)
+	}
+	spansBefore := len(rec.Spans())
+	before := obs.Default().Counters()
+	start := time.Now()
+	m, err := SolveContext(ctx, name, in, rng)
+	elapsed := time.Since(start)
+	if err != nil {
+		return nil, nil, err
+	}
+	deltas := obs.DiffCounters(before, obs.Default().Counters())
+	return m, BuildDiagnostics(name, in, m, elapsed, rec.Spans()[spansBefore:], deltas), nil
+}
 
 func TestSolveDiagnosticsGapDefinition(t *testing.T) {
 	in := table1Instance(t)
 	ub := RelaxedUpperBound(in)
 	for _, algo := range []string{"greedy", "mincostflow", "exact"} {
-		m, d, err := SolveDiagnostics(context.Background(), algo, in, rand.New(rand.NewSource(1)))
+		m, d, err := solveDiagnostics(context.Background(), algo, in, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -67,7 +89,7 @@ func TestSolveDiagnosticsOptimalSolveHasZeroGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d, err := SolveDiagnostics(context.Background(), "mincostflow", in, nil)
+	_, d, err := solveDiagnostics(context.Background(), "mincostflow", in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +105,7 @@ func TestSolveDiagnosticsReusesContextRecorder(t *testing.T) {
 	in := table1Instance(t)
 	rec := obs.NewRecorder()
 	ctx := obs.ContextWithRecorder(context.Background(), rec)
-	_, d, err := SolveDiagnostics(ctx, "mincostflow", in, nil)
+	_, d, err := solveDiagnostics(ctx, "mincostflow", in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +129,7 @@ func TestSolveDiagnosticsPublishesGapMetrics(t *testing.T) {
 	in := table1Instance(t)
 	reg := obs.Default()
 	before := reg.Histogram(obs.Label("geacc_solve_gap", "algo", "greedy"), gapBuckets).Count()
-	_, d, err := SolveDiagnostics(context.Background(), "greedy", in, nil)
+	_, d, err := solveDiagnostics(context.Background(), "greedy", in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +144,7 @@ func TestSolveDiagnosticsPublishesGapMetrics(t *testing.T) {
 
 func TestDiagnosticsJSONRoundTrip(t *testing.T) {
 	in := table1Instance(t)
-	_, d, err := SolveDiagnostics(context.Background(), "exact", in, nil)
+	_, d, err := solveDiagnostics(context.Background(), "exact", in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

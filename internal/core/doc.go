@@ -37,18 +37,22 @@
 //
 // # Beyond the paper
 //
-// The package also provides a concurrent solver Portfolio, a 1-exchange +
+// The package also provides a concurrent solver Portfolio (registered as
+// the "portfolio" solver), a 1-exchange +
 // 2-swap LocalSearch post-optimizer, a dynamic Arranger for online
 // arrival/cancellation workloads, budget-constrained arrangements
-// (BudgetedGreedy), per-decision Greedy traces, matching Diffs, an exact
+// (BudgetedGreedy), per-decision Greedy traces, an exact
 // per-user MWIS conflict resolution for MinCostFlow (FlowOptions), and a
 // tightened admissible pruning bound for Exact (ExactOptions). Every
 // matching any of these produce passes Validate.
 //
 // # Cancellation and observability
 //
-// SolveContext is the context-aware entry point over the registry: it
-// honors cancellation in the solvers that can run long (mincostflow
+// The solver registry (registry.go) is one static table of SolverInfo
+// descriptors: each names a solver, states its capabilities (Deterministic,
+// ExactGated, WarmCapable) and carries one context-aware run function.
+// SolveOpts (and SolveContext, its PRNG-taking form) is the entry point
+// over the registry: it honors cancellation in the solvers that can run long (mincostflow
 // between augmenting paths, exact between node expansions, greedy between
 // heap pops — see also GreedyCtx, MinCostFlowCtx, ExactOptions.Ctx, and
 // PortfolioCtx), records the per-algorithm solve metrics, and emits trace

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 )
 
@@ -14,23 +13,21 @@ type PortfolioResult struct {
 	Err      error
 }
 
-// Portfolio runs several solvers concurrently on the same instance and
-// returns the best feasible matching plus every individual outcome (sorted
-// by solver name). GEACC's approximations have incomparable strengths —
-// greedy usually wins but MinCostFlow is optimal when conflicts are absent
-// or sparse per user — so racing them and keeping the best is a practical
-// meta-solver. Solvers must not mutate the instance (none in this package
-// do); each receives an independent PRNG derived from seed.
-func Portfolio(in *Instance, names []string, seed int64) (*Matching, []PortfolioResult, error) {
-	return PortfolioCtx(context.Background(), in, names, seed)
-}
-
-// PortfolioCtx is Portfolio under a context: every member runs through
-// SolveContext, so cancellation stops the long solvers (see SolveContext)
-// and each member's run lands in the per-algorithm solve metrics. The
-// portfolio itself records geacc_portfolio_runs_total, the winner under
-// geacc_portfolio_wins_total, and all-members-failed outcomes under
-// geacc_portfolio_failures_total.
+// PortfolioCtx runs several solvers concurrently on the same instance and
+// returns the best feasible matching plus every individual outcome (in
+// member order; ties go to the earlier member, so the result is
+// deterministic per seed). GEACC's approximations have incomparable
+// strengths — greedy usually wins but MinCostFlow is optimal when
+// conflicts are absent or sparse per user — so racing them and keeping the
+// best is a practical meta-solver. Solvers must not mutate the instance
+// (none in this package do); each receives an independent PRNG derived
+// from seed.
+//
+// Every member runs through SolveOpts under ctx, so cancellation stops the
+// long solvers and each member's run lands in the per-algorithm solve
+// metrics. The portfolio itself records geacc_portfolio_runs_total, the
+// winner under geacc_portfolio_wins_total, and all-members-failed outcomes
+// under geacc_portfolio_failures_total.
 func PortfolioCtx(ctx context.Context, in *Instance, names []string, seed int64) (*Matching, []PortfolioResult, error) {
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("core: empty portfolio")
@@ -54,8 +51,7 @@ func PortfolioCtx(ctx context.Context, in *Instance, names []string, seed int64)
 				}
 			}()
 			results[i].Name = names[i]
-			rng := rand.New(rand.NewSource(seed + int64(i)*7919))
-			m, err := SolveContext(ctx, names[i], in, rng)
+			m, err := SolveOpts(ctx, names[i], in, SolveOptions{Seed: seed + int64(i)*7919})
 			if err != nil {
 				results[i].Err = err
 				return

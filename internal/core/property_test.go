@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,8 +77,12 @@ func TestAllSolversProduceFeasibleMatchings(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randVectorInstance(rng, 2+rng.Intn(5), 2+rng.Intn(8), 1+rng.Intn(4), 3, 3, rng.Float64())
-		for name, solve := range Solvers() {
-			m := solve(in, rng)
+		for _, name := range SolverNames() {
+			m, err := SolveContext(context.Background(), name, in, rng)
+			if err != nil {
+				t.Logf("solver %s: %v", name, err)
+				return false
+			}
 			if err := Validate(in, m); err != nil {
 				t.Logf("solver %s: %v", name, err)
 				return false

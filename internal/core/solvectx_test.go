@@ -30,7 +30,10 @@ func TestSolveContextMatchesPlainSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := plain(in, rand.New(rand.NewSource(1)))
+		want, err := plain.Run(context.Background(), in, SolveOptions{Rand: rand.New(rand.NewSource(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := SolveContext(context.Background(), name, in, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -189,7 +192,7 @@ func TestSolveContextEmitsSpans(t *testing.T) {
 func TestPortfolioRecordsWin(t *testing.T) {
 	runs := obs.Default().Counter("geacc_portfolio_runs_total")
 	before := runs.Value()
-	if _, _, err := Portfolio(ctxTestInstance(t), []string{"greedy", "mincostflow"}, 1); err != nil {
+	if _, _, err := PortfolioCtx(context.Background(), ctxTestInstance(t), []string{"greedy", "mincostflow"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Value() != before+1 {

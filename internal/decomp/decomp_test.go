@@ -14,6 +14,20 @@ import (
 	"github.com/ebsnlab/geacc/internal/dataset"
 )
 
+// solveWhole decomposes in and solves every component — DecomposeContext
+// plus Decomposition.SolveContext — returning the component stats too.
+func solveWhole(ctx context.Context, algo string, in *core.Instance, opt Options) (*core.Matching, *core.DecompositionStats, error) {
+	d, err := DecomposeContext(ctx, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := d.SolveContext(ctx, algo, opt)
+	if err != nil && !errors.Is(err, core.ErrNodeLimit) {
+		return nil, nil, err
+	}
+	return m, d.Stats(opt.Workers), err
+}
+
 // matrixInstance builds a 3×4 instance with two similarity components, one
 // stranded event (e2: zero row) and one stranded user (u3: zero column).
 func matrixInstance(t *testing.T, pairs [][2]int) *core.Instance {
@@ -127,7 +141,7 @@ func TestDecomposedExactMatchesWholeExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: whole exact: %v", name, err)
 		}
-		merged, _, err := SolveContext(context.Background(), "exact", in, Options{})
+		merged, _, err := solveWhole(context.Background(), "exact", in, Options{})
 		if err != nil {
 			t.Fatalf("%s: decomposed exact: %v", name, err)
 		}
@@ -180,7 +194,7 @@ func TestDecomposedExactMatchesWholeExact(t *testing.T) {
 func TestDecomposedSolversFeasible(t *testing.T) {
 	in := clustered(t, 16, 48, 4, 11, 3, 2)
 	for _, algo := range core.SolverNames() {
-		m, st, err := SolveContext(context.Background(), algo, in, Options{Seed: 3})
+		m, st, err := solveWhole(context.Background(), algo, in, Options{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -200,7 +214,7 @@ func TestDecomposedSolversFeasible(t *testing.T) {
 func TestDecomposedGreedyMatchesMonolithicGreedy(t *testing.T) {
 	in := clustered(t, 20, 100, 5, 13, 5, 2)
 	mono := core.Greedy(in)
-	merged, _, err := SolveContext(context.Background(), "greedy", in, Options{})
+	merged, _, err := solveWhole(context.Background(), "greedy", in, Options{})
 	if err != nil {
 		t.Fatalf("decomposed greedy: %v", err)
 	}
@@ -217,7 +231,7 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, algo := range []string{"greedy", "mincostflow", "random-v"} {
 		var want *core.Matching
 		for _, workers := range []int{1, 3, 8} {
-			m, _, err := SolveContext(context.Background(), algo, in, Options{Workers: workers, Seed: 5})
+			m, _, err := solveWhole(context.Background(), algo, in, Options{Workers: workers, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", algo, workers, err)
 			}
@@ -277,7 +291,7 @@ func TestSolvePreCanceledContext(t *testing.T) {
 	in := clustered(t, 8, 16, 2, 23, 3, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := SolveContext(ctx, "greedy", in, Options{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := solveWhole(ctx, "greedy", in, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -287,7 +301,7 @@ func TestSolvePreCanceledContext(t *testing.T) {
 // core.ErrNodeLimit.
 func TestExactNodeLimitPerComponent(t *testing.T) {
 	in := clustered(t, 12, 24, 3, 29, 3, 2)
-	m, _, err := SolveContext(context.Background(), "exact", in, Options{ExactNodeLimit: 1})
+	m, _, err := solveWhole(context.Background(), "exact", in, Options{ExactNodeLimit: 1})
 	if !errors.Is(err, core.ErrNodeLimit) {
 		t.Fatalf("err = %v, want core.ErrNodeLimit", err)
 	}
@@ -301,7 +315,7 @@ func TestExactNodeLimitPerComponent(t *testing.T) {
 
 func TestSolveUnknownAlgorithm(t *testing.T) {
 	in := clustered(t, 4, 8, 2, 31, 2, 2)
-	if _, _, err := SolveContext(context.Background(), "no-such-solver", in, Options{}); err == nil {
+	if _, _, err := solveWhole(context.Background(), "no-such-solver", in, Options{}); err == nil {
 		t.Fatal("unknown solver accepted")
 	}
 }
@@ -311,7 +325,7 @@ func TestEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty instance: %v", err)
 	}
-	m, st, err := SolveContext(context.Background(), "greedy", in, Options{})
+	m, st, err := solveWhole(context.Background(), "greedy", in, Options{})
 	if err != nil {
 		t.Fatalf("empty solve: %v", err)
 	}

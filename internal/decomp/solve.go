@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,30 +63,36 @@ type Options struct {
 	// the threshold — and every component when Shard is nil — solve
 	// exactly as before, bit-identically.
 	Shard *partition.Options
+	// ExactAreaLimit, when > 0, refuses an exact-gated solver (with a
+	// *core.ExactGateError, before anything is solved) when the largest
+	// component it would solve has |V|·|U| above the limit.
+	ExactAreaLimit int64
 }
 
 // solveComponentFn is the per-component dispatch; tests swap it to inject
 // faults and observe scheduling.
 var solveComponentFn = solveComponent
 
-// deterministicAlgos ignore their seed entirely, so their cache keys can
-// drop it: an unchanged component then hits even when a delta elsewhere
-// shifted its component index (and thus its derived seed).
-var deterministicAlgos = map[string]bool{"greedy": true, "mincostflow": true, "exact": true}
-
 // solveComponent runs one registry solver on one shard, consulting the
 // optional per-instance solve cache and warm-flow cache from opt.
-// Everything except cache hits, the warm mincostflow path, and the
-// node-limited exact path goes through core.SolveContext, so the usual
-// per-algorithm solve metrics and solve/<algo> spans fire once per
-// component.
+// Everything except cache hits and the warm flow path goes through
+// core.SolveOpts, so the usual per-algorithm solve metrics and
+// solve/<algo> spans fire once per component.
 func solveComponent(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
+	info, err := core.LookupSolver(algo)
+	if err != nil {
+		return nil, err
+	}
+	seed := componentSeed(opt.Seed, compIdx)
 	var key solvecache.Key
 	cacheable := false
 	if opt.SolveCache != nil {
-		keySeed := int64(0)
-		if !deterministicAlgos[algo] {
-			keySeed = componentSeed(opt.Seed, compIdx)
+		// Deterministic solvers key without the seed: an unchanged component
+		// then hits even when a delta elsewhere shifted its component index
+		// (and thus its derived seed).
+		keySeed := seed
+		if info.Deterministic {
+			keySeed = 0
 		}
 		key, cacheable = solvecache.InstanceKey(c.Sub, solvecache.KeySpec{
 			Algo:      algo,
@@ -102,14 +107,10 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 		}
 	}
 	var m *core.Matching
-	var err error
-	switch {
-	case algo == "exact" && opt.ExactNodeLimit > 0:
-		m, _, err = core.ExactOpts(c.Sub, core.ExactOptions{Ctx: ctx, NodeLimit: opt.ExactNodeLimit})
-	case algo == "mincostflow" && opt.WarmCache != nil:
+	if info.WarmCapable && opt.WarmCache != nil {
 		m, err = core.MinCostFlowWarmCtx(ctx, c.Sub, c.Events, c.Users, opt.WarmCache)
-	default:
-		m, err = core.SolveContext(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx))
+	} else {
+		m, err = core.SolveOpts(ctx, algo, c.Sub, core.SolveOptions{Seed: seed, NodeLimit: opt.ExactNodeLimit})
 	}
 	if err == nil && cacheable && m != nil {
 		opt.SolveCache.Put(key, m.Clone())
@@ -191,10 +192,6 @@ func componentSeed(seed int64, i int) int64 {
 	return seed*0x9E3779B1 + int64(i)
 }
 
-func componentRNG(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(componentSeed(seed, i)))
-}
-
 func normalizeWorkers(workers, components int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -206,21 +203,6 @@ func normalizeWorkers(workers, components int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// SolveContext decomposes in and solves it with the named registry solver:
-// the one-call form of DecomposeContext + Decomposition.SolveContext,
-// returning the component stats alongside the merged matching.
-func SolveContext(ctx context.Context, algo string, in *core.Instance, opt Options) (*core.Matching, *core.DecompositionStats, error) {
-	d, err := DecomposeContext(ctx, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := d.SolveContext(ctx, algo, opt)
-	if err != nil && !errors.Is(err, core.ErrNodeLimit) {
-		return nil, nil, err
-	}
-	return m, d.Stats(opt.Workers), err
 }
 
 // SolveContext runs the named registry solver over every component in a
@@ -293,7 +275,16 @@ func (d *Decomposition) SolveSubset(ctx context.Context, algo string, ids []int,
 // by component id. Fatal errors return a nil map; core.ErrNodeLimit is
 // non-fatal and returned alongside the results.
 func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, opt Options) (map[int]*core.Matching, error, error) {
-	if _, err := core.LookupSolver(algo); err != nil {
+	info, err := core.LookupSolver(algo)
+	if err != nil {
+		return nil, nil, err
+	}
+	var area int64
+	for _, id := range ids {
+		c := d.Components[id]
+		area = max(area, int64(len(c.Events))*int64(len(c.Users)))
+	}
+	if _, err := info.Gate(area, opt.ExactAreaLimit, true); err != nil {
 		return nil, nil, err
 	}
 	decompRuns.Inc()

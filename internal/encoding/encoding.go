@@ -3,8 +3,8 @@
 // The JSON instance format carries events (attributes + capacity), users,
 // the conflicting pair list, and the similarity definition — either a named
 // similarity function over the attribute space or an explicit matrix.
-// Matchings round-trip as JSON or as a compact CSV (v,u,sim rows) for the
-// command-line tools.
+// Matchings round-trip as JSON; the command-line tools can also write a
+// compact CSV (v,u,sim rows).
 package encoding
 
 import (
@@ -182,12 +182,19 @@ type PairJSON struct {
 	Sim float64 `json:"sim"`
 }
 
-// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)).
-func EncodeMatching(w io.Writer, m *core.Matching) error {
-	doc := MatchingJSON{MaxSum: m.MaxSum(), Pairs: []PairJSON{}}
-	for _, p := range m.SortedPairs() {
+// NewMatchingJSON is the serialized form of a matching with the given
+// MaxSum whose pairs are listed in the given order (never a null list).
+func NewMatchingJSON(maxSum float64, pairs []core.Assignment) MatchingJSON {
+	doc := MatchingJSON{MaxSum: maxSum, Pairs: make([]PairJSON, 0, len(pairs))}
+	for _, p := range pairs {
 		doc.Pairs = append(doc.Pairs, PairJSON{V: p.V, U: p.U, Sim: p.Sim})
 	}
+	return doc
+}
+
+// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)).
+func EncodeMatching(w io.Writer, m *core.Matching) error {
+	doc := NewMatchingJSON(m.MaxSum(), m.SortedPairs())
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
@@ -229,39 +236,4 @@ func WriteMatchingCSV(w io.Writer, m *core.Matching) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadMatchingCSV parses the WriteMatchingCSV format.
-func ReadMatchingCSV(r io.Reader) (*core.Matching, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("encoding: %w", err)
-	}
-	m := core.NewMatching()
-	for i, rec := range records {
-		if i == 0 {
-			continue // header
-		}
-		if len(rec) != 3 {
-			return nil, fmt.Errorf("encoding: row %d has %d fields, want 3", i, len(rec))
-		}
-		v, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		u, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		s, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		if m.Contains(v, u) {
-			return nil, fmt.Errorf("encoding: duplicate pair (%d, %d)", v, u)
-		}
-		m.Add(v, u, s)
-	}
-	return m, nil
 }

@@ -68,24 +68,6 @@ func FuzzDecodeMatching(f *testing.F) {
 	})
 }
 
-// FuzzReadMatchingCSV covers the CSV reader the same way.
-func FuzzReadMatchingCSV(f *testing.F) {
-	f.Add("v,u,sim\n0,1,0.5\n")
-	f.Add("v,u,sim\n")
-	f.Add("garbage")
-	f.Add("v,u,sim\n0,0,0.5\n0,0,0.5\n")
-	f.Fuzz(func(t *testing.T, doc string) {
-		m, err := ReadMatchingCSV(strings.NewReader(doc))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteMatchingCSV(&buf, m); err != nil {
-			t.Fatalf("accepted CSV failed to re-write: %v", err)
-		}
-	})
-}
-
 // TestFuzzSeedsAsRegression runs the seed corpus deterministically even when
 // fuzzing is not enabled, so `go test` exercises these paths.
 func TestFuzzSeedsAsRegression(t *testing.T) {

@@ -72,13 +72,9 @@ func encodeSession(w io.Writer, in *core.Instance, m *core.Matching, meta Sessio
 	if ordered {
 		pairs = m.Pairs()
 	}
-	matching := MatchingJSON{MaxSum: m.MaxSum(), Pairs: make([]PairJSON, 0, len(pairs))}
-	for _, p := range pairs {
-		matching.Pairs = append(matching.Pairs, PairJSON{V: p.V, U: p.U, Sim: p.Sim})
-	}
 	doc := SessionJSON{
 		Instance: json.RawMessage(instBuf.Bytes()),
-		Matching: matching,
+		Matching: NewMatchingJSON(m.MaxSum(), pairs),
 		Meta:     meta,
 	}
 	enc := json.NewEncoder(w)

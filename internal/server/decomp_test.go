@@ -93,11 +93,19 @@ func TestSolveDecomposedMatchesMonolithic(t *testing.T) {
 	}
 }
 
-func TestSolveDecomposeRejectsPortfolio(t *testing.T) {
+// TestSolveDecomposePortfolio: the portfolio is an ordinary registry
+// solver, so ?decompose=1 runs it per component; the merge can only beat
+// or tie each member's decomposed solve.
+func TestSolveDecomposePortfolio(t *testing.T) {
 	srv := newServer(t)
-	resp, out := postJSON(t, srv.URL+"/solve?algo=portfolio&decompose=1", smallClustered(t))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	body := smallClustered(t)
+	port := solveDoc(t, srv.URL+"/solve?algo=portfolio&decompose=1", body)
+	for _, algo := range []string{"greedy", "mincostflow"} {
+		member := solveDoc(t, srv.URL+"/solve?decompose=1&algo="+algo, body)
+		if port.Matching.MaxSum < member.Matching.MaxSum {
+			t.Fatalf("decomposed portfolio %v < decomposed %s %v",
+				port.Matching.MaxSum, algo, member.Matching.MaxSum)
+		}
 	}
 }
 

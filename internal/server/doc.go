@@ -27,8 +27,9 @@
 // # Cancellation
 //
 // /solve and /trace propagate the request context into the solver
-// (core.SolveContext, core.PortfolioCtx, core.GreedyCtx): when the client
-// disconnects mid-solve, long MinCostFlow sweeps and exact searches abort
-// at their next cancellation poll instead of burning the worker, and the
-// aborted request is recorded with the non-standard status 499.
+// (through internal/pipeline, or core.GreedyCtx for the step trace): when
+// the client disconnects mid-solve, long MinCostFlow sweeps and exact
+// searches abort at their next cancellation poll instead of burning the
+// worker, and the aborted request is recorded with the non-standard
+// status 499.
 package server

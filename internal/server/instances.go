@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,11 +345,10 @@ func (inst *instance) summaryLocked() InstanceSummary {
 // float bits of max_sum included — is reproducible across a crash/replay.
 func (inst *instance) statusLocked() InstanceStatus {
 	m := inst.arr.Matching()
-	mj := encoding.MatchingJSON{MaxSum: m.MaxSum(), Pairs: []encoding.PairJSON{}}
-	for _, p := range m.Pairs() {
-		mj.Pairs = append(mj.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
+	return InstanceStatus{
+		InstanceSummary: inst.summaryLocked(),
+		Matching:        encoding.NewMatchingJSON(m.MaxSum(), m.Pairs()),
 	}
-	return InstanceStatus{InstanceSummary: inst.summaryLocked(), Matching: mj}
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -513,10 +511,10 @@ type CancelRequest struct {
 // an arrival (absent for cancellations); Matched lists the counterparties
 // the greedy placement picked up immediately.
 type DeltaResponse struct {
-	Op      string `json:"op"`
-	ID      *int   `json:"id,omitempty"`
-	Matched []int  `json:"matched,omitempty"`
-	Seq     int64  `json:"seq"`
+	Op      string  `json:"op"`
+	ID      *int    `json:"id,omitempty"`
+	Matched []int   `json:"matched,omitempty"`
+	Seq     int64   `json:"seq"`
 	MaxSum  float64 `json:"max_sum"`
 }
 
@@ -735,7 +733,8 @@ type RebalanceResponse struct {
 // component. ?algo= picks the registry solver (default greedy), ?workers=
 // bounds the component pool, ?seed= fixes the random baselines. The solve
 // runs under the request context, so a disconnected client cancels it
-// (status 499) with the instance unchanged.
+// (status 499) with the instance unchanged; an exact search over a
+// component above exactHTTPAreaLimit is refused (422), also unchanged.
 func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	if !s.gateReady(w, r) {
 		return
@@ -758,40 +757,19 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: unknown scope %q (dirty or full)", scope))
 		return
 	}
-	algo := q.Get("algo")
-	if algo == "" {
-		algo = "greedy"
-	}
-	if _, err := core.LookupSolver(algo); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	opt := decomp.Options{Seed: 1}
-	shard, err := s.shardOptionsFromQuery(r)
+	// ?algo=, ?seed=, ?workers= and the shard parameters parse as on /solve.
+	spec, err := s.solveSpec(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	algo := spec.Algo
 	// With sharding on, a dirty giant component splits before solving; the
 	// per-shard solves still go through the instance's reuse caches (content
-	// hashing and warm flow compose inside shards).
-	opt.Shard = shard
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad workers: %w", err))
-			return
-		}
-		opt.Workers = n
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad seed: %w", err))
-			return
-		}
-		opt.Seed = n
-	}
+	// hashing and warm flow compose inside shards). Exact searches are gated
+	// on the largest component the rebalance will solve, like /solve; a
+	// refusal leaves the instance unchanged.
+	opt := decomp.Options{Seed: spec.Seed, Workers: spec.Workers, Shard: spec.Shard, ExactAreaLimit: spec.ExactAreaLimit}
 	// The reuse caches ride along unless the request opts out; both are
 	// pure accelerators (bit-exact vs a cold solve), so ?cache=0 exists for
 	// benchmarking, not correctness.

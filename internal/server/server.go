@@ -8,7 +8,6 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,10 +15,10 @@ import (
 
 	"github.com/ebsnlab/geacc/internal/buildinfo"
 	"github.com/ebsnlab/geacc/internal/core"
-	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/obs"
 	"github.com/ebsnlab/geacc/internal/partition"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 	"github.com/ebsnlab/geacc/internal/report"
 	"github.com/ebsnlab/geacc/internal/solvecache"
 )
@@ -204,11 +203,16 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 }
 
 // solveErrorStatus maps a solver error to an HTTP status: context
-// cancellation (the client went away) and deadline expiry report as 499,
-// anything else as fallback.
+// cancellation (the client went away) and deadline expiry report as 499, a
+// refused exact search (core.ExactGateError) as 422, anything else as
+// fallback.
 func solveErrorStatus(err error, fallback int) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var gate *core.ExactGateError
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return statusClientClosedRequest
+	case errors.As(err, &gate):
+		return http.StatusUnprocessableEntity
 	}
 	return fallback
 }
@@ -234,7 +238,7 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{
-		"algorithms": append(core.SolverNames(), "portfolio"),
+		"algorithms": core.SolverNames(),
 	})
 }
 
@@ -249,19 +253,7 @@ type SolveResponse struct {
 	Diagnostics *core.Diagnostics     `json:"diagnostics,omitempty"`
 }
 
-// wantDiag reports whether the request opted into the per-solve
-// diagnostics artifact (instance shape, optimality gap, phase timings).
-func wantDiag(r *http.Request) bool {
-	return boolParam(r, "diag")
-}
-
-// wantDecompose reports whether the request asked for the decomposed solve
-// path (?decompose=1): shard along conflict/similarity components, solve in
-// parallel (pool size via ?workers=n), merge.
-func wantDecompose(r *http.Request) bool {
-	return boolParam(r, "decompose")
-}
-
+// boolParam reports whether the query flag is on ("1", "true" or "yes").
 func boolParam(r *http.Request, name string) bool {
 	switch r.URL.Query().Get(name) {
 	case "1", "true", "yes":
@@ -336,6 +328,46 @@ func solveSimID(info encoding.SimInfo) string {
 	return fmt.Sprintf("%s/%d/%v", info.Kind, info.Dim, info.MaxT)
 }
 
+// solveSpec parses the /solve query: ?algo= (default greedy), ?seed=
+// (default 1), ?diag=1 for the diagnostics artifact (instance shape,
+// optimality gap, phase timings), ?decompose=1 for the decomposed solve
+// (component pool size via ?workers=n), and the approximate sharding
+// parameters. Exact searches are gated at exactHTTPAreaLimit. Errors are
+// the client's (400).
+func (s *service) solveSpec(r *http.Request) (pipeline.Spec, error) {
+	q := r.URL.Query()
+	spec := pipeline.Spec{
+		Algo:           q.Get("algo"),
+		Seed:           1,
+		Decompose:      boolParam(r, "decompose"),
+		Diag:           boolParam(r, "diag"),
+		ExactAreaLimit: exactHTTPAreaLimit,
+	}
+	if spec.Algo == "" {
+		spec.Algo = "greedy"
+	}
+	// Only registry names get past here: solve windows are labeled by algo,
+	// and a client probing ?algo=... must not grow the label space.
+	if _, err := core.LookupSolver(spec.Algo); err != nil {
+		return spec, err
+	}
+	var err error
+	if qs := q.Get("seed"); qs != "" {
+		if spec.Seed, err = strconv.ParseInt(qs, 10, 64); err != nil {
+			return spec, fmt.Errorf("server: bad seed: %w", err)
+		}
+	}
+	if spec.Shard, err = s.shardOptionsFromQuery(r); err != nil {
+		return spec, err
+	}
+	if qs := q.Get("workers"); qs != "" {
+		if spec.Workers, err = strconv.Atoi(qs); err != nil {
+			return spec, fmt.Errorf("server: bad workers: %w", err)
+		}
+	}
+	return spec, nil
+}
+
 func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -347,80 +379,26 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	algo := r.URL.Query().Get("algo")
-	if algo == "" {
-		algo = "greedy"
-	}
-	var seed int64 = 1
-	if qs := r.URL.Query().Get("seed"); qs != "" {
-		seed, err = strconv.ParseInt(qs, 10, 64)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad seed: %w", err))
-			return
-		}
-	}
-	diag := wantDiag(r)
-	decompose := wantDecompose(r)
-	shard, err := s.shardOptionsFromQuery(r)
+	spec, err := s.solveSpec(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
-	}
-	if shard != nil {
-		decompose = true // sharding rides on the decomposition worker pool
-	}
-	workers := 0
-	if qs := r.URL.Query().Get("workers"); qs != "" {
-		workers, err = strconv.Atoi(qs)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad workers: %w", err))
-			return
-		}
-	}
-	if decompose && algo == "portfolio" {
-		writeError(w, r, http.StatusBadRequest,
-			errors.New("server: decompose does not compose with the portfolio (it already parallelizes)"))
-		return
-	}
-	// Validate the algorithm before the first window observation: window
-	// series are labeled by algo, and only registry names may mint one (an
-	// attacker probing ?algo=... must not grow the label space).
-	if algo != "portfolio" {
-		if _, lerr := core.LookupSolver(algo); lerr != nil {
-			writeError(w, r, http.StatusBadRequest, lerr)
-			return
-		}
 	}
 
 	// Content-addressed memoization: a hit serves the stored response —
 	// matching, diagnostics, even the original solve's timing — verbatim,
 	// which is by construction bit-for-bit what a fresh solve of the same
-	// content would produce. Hits happen before the solve window mints an
-	// observation (nothing was solved). The portfolio is excluded, although
-	// its result is deterministic per content and seed: core.PortfolioCtx
-	// waits for every member and picks the best in member order.
+	// content would produce (every solver, the portfolio included, is a
+	// deterministic function of content, spec and seed). Hits happen before
+	// the solve window mints an observation (nothing was solved).
 	var cacheKey solvecache.Key
 	cacheUsable := false
-	if s.solveCache != nil && algo != "portfolio" && !cacheBypassed(r) {
-		spec := solvecache.KeySpec{
-			Algo:      algo,
-			Seed:      seed,
-			SimID:     solveSimID(simInfo),
-			Decompose: decompose,
-			Workers:   workers,
-			Diag:      diag,
-		}
-		if shard != nil {
-			spec.ApproxShard = true
-			spec.ShardMaxArea = shard.MaxArea
-			spec.ShardStrategy = string(shard.Strategy)
-			spec.ShardDriftBudget = shard.DriftBudget
-		}
-		cacheKey, cacheUsable = solvecache.InstanceKey(in, spec)
+	if s.solveCache != nil && !cacheBypassed(r) {
+		cacheKey, cacheUsable = solvecache.InstanceKey(in, spec.KeySpec(solveSimID(simInfo)))
 		if cacheUsable {
 			if v, ok := s.solveCache.Get(cacheKey); ok {
 				requestLogger(r).Info("solve cache hit",
-					"algo", algo, "events", in.NumEvents(), "users", in.NumUsers())
+					"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers())
 				writeJSON(w, v.(SolveResponse))
 				return
 			}
@@ -429,141 +407,39 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// The request context travels into the solver: a client disconnect
 	// cancels long MinCostFlow sweeps and exact searches instead of
-	// burning the worker on an answer nobody will read. Diagnosed
-	// requests additionally carry a span recorder so phase timings land
-	// in the artifact.
-	ctx := r.Context()
-	var rec *obs.Recorder
-	var countersBefore map[string]int64
-	if diag {
-		rec = obs.NewRecorder()
-		ctx = obs.ContextWithRecorder(ctx, rec)
-		countersBefore = obs.Default().Counters()
-	}
-	start := time.Now()
-	// The solver window tracks wall-clock and failures per algorithm; a
-	// request that dies after this point (solver error, infeasible result)
+	// burning the worker on an answer nobody will read. The solver window
+	// tracks wall-clock and failures per algorithm; a request that dies
+	// after this point (gate refusal, solver error, infeasible result)
 	// counts toward the algo's error rate.
+	start := time.Now()
 	solveOK := false
 	defer func() {
-		s.solveWindow(algo).Observe(time.Since(start).Seconds(), !solveOK)
+		s.solveWindow(spec.Algo).Observe(time.Since(start).Seconds(), !solveOK)
 	}()
-	var m *core.Matching
-	var d *core.Diagnostics
-	if algo == "portfolio" {
-		m, _, err = core.PortfolioCtx(ctx, in,
-			[]string{"greedy", "mincostflow", "random-v", "random-u"}, seed)
-		if err != nil {
-			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-			return
-		}
-		if diag {
-			d = core.BuildDiagnostics(algo, in, m, time.Since(start), rec.Spans(),
-				obs.DiffCounters(countersBefore, obs.Default().Counters()))
-		}
-	} else {
-		if decompose {
-			dd, derr := decomp.DecomposeContext(ctx, in)
-			if derr != nil {
-				writeError(w, r, solveErrorStatus(derr, http.StatusInternalServerError), derr)
-				return
-			}
-			// The exact budget applies per component: decomposition is exactly
-			// what makes larger instances exact-solvable over HTTP. The gating
-			// decision — measured area against the limit — is surfaced in the
-			// 422 message and, for admitted diagnosed requests, in
-			// Diagnostics.ExactGate.
-			var gate *core.ExactGateStats
-			if algo == "exact" {
-				area := dd.MaxComponentArea()
-				gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-				if area > exactHTTPAreaLimit {
-					gate.Gated = true
-					writeError(w, r, http.StatusUnprocessableEntity,
-						fmt.Errorf("server: exact search is limited to component |V|·|U| <= %d over HTTP (largest component area %d); use the CLI",
-							exactHTTPAreaLimit, area))
-					return
-				}
-			}
-			dopt := decomp.Options{Workers: workers, Seed: seed, Shard: shard}
-			m, err = dd.SolveContext(ctx, algo, dopt)
-			if err != nil {
-				writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-				return
-			}
-			if diag {
-				d = core.BuildDiagnostics(algo, in, m, time.Since(start), rec.Spans(),
-					obs.DiffCounters(countersBefore, obs.Default().Counters()))
-				d.Decomposition = dd.Stats(workers)
-				d.ExactGate = gate
-				if pst := dd.PartitionStats(); pst != nil {
-					// BoundLoss: measured loss vs the unsharded Corollary 1
-					// relaxation bound, i.e. this run's diagnostics gap.
-					pst.BoundLoss = d.Gap
-					d.Partition = pst
-				}
-			}
-		} else {
-			area := int64(in.NumEvents()) * int64(in.NumUsers())
-			var gate *core.ExactGateStats
-			if algo == "exact" {
-				gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-				if area > exactHTTPAreaLimit {
-					gate.Gated = true
-					writeError(w, r, http.StatusUnprocessableEntity,
-						fmt.Errorf("server: exact search is limited to |V|·|U| <= %d over HTTP (instance area %d); use decompose or the CLI",
-							exactHTTPAreaLimit, area))
-					return
-				}
-			}
-			rng := rand.New(rand.NewSource(seed))
-			if diag {
-				m, d, err = core.SolveDiagnostics(ctx, algo, in, rng)
-			} else {
-				m, err = core.SolveContext(ctx, algo, in, rng)
-			}
-			if err != nil {
-				writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-				return
-			}
-			if d != nil {
-				d.ExactGate = gate
-			}
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	if err := core.Validate(in, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+	res, err := pipeline.Run(r.Context(), in, spec)
+	if err != nil {
+		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 	solveOK = true
+	m, elapsed := res.Matching, res.Elapsed.Seconds()
 
 	logAttrs := []any{
-		"algo", algo, "events", in.NumEvents(), "users", in.NumUsers(),
+		"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers(),
 		"pairs", m.Size(), "max_sum", m.MaxSum(), "seconds", elapsed,
 	}
-	if d != nil {
+	if d := res.Diagnostics; d != nil {
 		logAttrs = append(logAttrs, "gap", d.Gap, "relaxed_upper_bound", d.RelaxedUpperBound)
 	}
 	requestLogger(r).Info("solve", logAttrs...)
 
-	var buf bytes.Buffer
-	if err := encoding.EncodeMatching(&buf, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	var mj encoding.MatchingJSON
-	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
 	resp := SolveResponse{
-		Matching:    mj,
-		Algo:        algo,
+		Matching:    encoding.NewMatchingJSON(m.MaxSum(), m.SortedPairs()),
+		Algo:        spec.Algo,
 		Seconds:     elapsed,
 		Events:      in.NumEvents(),
 		Users:       in.NumUsers(),
-		Diagnostics: d,
+		Diagnostics: res.Diagnostics,
 	}
 	if cacheUsable {
 		s.solveCache.Put(cacheKey, resp)
@@ -623,43 +499,29 @@ func (s *service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := encoding.EncodeMatching(&buf, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	var mj encoding.MatchingJSON
-	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
 	if steps == nil {
 		steps = []TraceStepJSON{}
 	}
-	writeJSON(w, TraceResponse{Matching: mj, Steps: steps})
+	writeJSON(w, TraceResponse{Matching: encoding.NewMatchingJSON(m.MaxSum(), m.SortedPairs()), Steps: steps})
 }
 
-// handleChromeTrace runs the requested solver (default greedy) with a span
-// recorder attached and answers with the spans in Chrome trace-event JSON —
-// loadable as-is in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// handleChromeTrace runs the requested solver (default greedy, seed 1,
+// under the same exact gate as /solve) with a span recorder attached and
+// answers with the spans in Chrome trace-event JSON — loadable as-is in
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
 func handleChromeTrace(w http.ResponseWriter, r *http.Request, in *core.Instance) {
-	algo := r.URL.Query().Get("algo")
-	if algo == "" {
-		algo = "greedy"
+	spec := pipeline.Spec{Algo: r.URL.Query().Get("algo"), Seed: 1, ExactAreaLimit: exactHTTPAreaLimit}
+	if spec.Algo == "" {
+		spec.Algo = "greedy"
 	}
-	if _, err := core.LookupSolver(algo); err != nil {
+	if _, err := core.LookupSolver(spec.Algo); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	rec := obs.NewRecorder()
 	ctx := obs.ContextWithRecorder(r.Context(), rec)
-	m, err := core.SolveContext(ctx, algo, in, rand.New(rand.NewSource(1)))
-	if err != nil {
+	if _, err := pipeline.Run(ctx, in, spec); err != nil {
 		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-		return
-	}
-	if err := core.Validate(in, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

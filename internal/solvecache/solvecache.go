@@ -34,6 +34,7 @@ type KeySpec struct {
 	Workers   int
 	Diag      bool
 	NodeLimit int64
+	Index     int // greedy's nearest-neighbor index (core.IndexKind)
 	// Approximate-sharding parameters (internal/partition). They change the
 	// merged matching, so they must key separately from a plain decomposed
 	// solve: ApproxShard false means the zero-valued trio hashes as "off".
@@ -63,12 +64,13 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 		writeInt(int64(len(s)))
 		h.Write([]byte(s))
 	}
-	writeStr("geacc-solve-v2")
+	writeStr("geacc-solve-v3")
 	writeStr(spec.Algo)
 	writeStr(spec.SimID)
 	writeInt(spec.Seed)
 	writeInt(spec.NodeLimit)
 	writeInt(int64(spec.Workers))
+	writeInt(int64(spec.Index))
 	var flags int64
 	if spec.Decompose {
 		flags |= 1

@@ -2,16 +2,16 @@ package geacc
 
 import (
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/pipeline"
 )
 
-// SolvePortfolio races Greedy, MinCostFlow and both random baselines
-// concurrently and returns the best feasible arrangement. Useful when the
+// SolvePortfolio runs Greedy, MinCostFlow and both random baselines
+// concurrently and returns the best feasible arrangement (ties go to the
+// earlier member, so the result is deterministic per seed). Useful when the
 // instance's conflict structure makes the winner hard to predict (greedy
 // usually wins, but MinCostFlow is optimal when conflicts are absent).
 func (p *Problem) SolvePortfolio(seed int64) (*Matching, error) {
-	best, _, err := core.Portfolio(p.in,
-		[]string{"greedy", "mincostflow", "random-v", "random-u"}, seed)
-	return best, err
+	return p.run(pipeline.Spec{Algo: core.PortfolioName, Seed: seed})
 }
 
 // Improve post-optimizes a feasible matching with 1-exchange local search
