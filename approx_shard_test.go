@@ -83,13 +83,3 @@ func TestApproxShardFacade(t *testing.T) {
 		t.Fatal("plain solve changed after a sharded solve")
 	}
 }
-
-func TestApproxShardFacadeBadStrategy(t *testing.T) {
-	p, _ := bridgedProblem(t, 500)
-	_, err := p.SolveOpts(MinCostFlow, SolveOptions{
-		ApproxShard: &ApproxShardOptions{Strategy: "zigzag"},
-	})
-	if err == nil {
-		t.Fatal("unknown shard strategy accepted")
-	}
-}

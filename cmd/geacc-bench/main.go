@@ -48,8 +48,6 @@ func run(args []string, stdout io.Writer) error {
 		"split oversized components via internal/partition's bounded-drift sharding (implies -decompose)")
 	shardMaxArea := fs.Int64("shard-max-area", partition.DefaultMaxArea,
 		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := fs.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
 	shardDriftBudget := fs.Float64("shard-drift-budget", partition.DefaultDriftBudget,
 		"with -approx-shard, max tolerated drift estimate before monolithic fallback")
 	solversJSON := fs.String("solvers-json", "",
@@ -136,15 +134,7 @@ func run(args []string, stdout io.Writer) error {
 
 	opt := bench.Options{Scale: *scale, Reps: *reps, Seed: *seed, Decompose: *decompose}
 	if *approxShard {
-		strat, err := partition.ParseStrategy(*shardStrategy)
-		if err != nil {
-			return err
-		}
-		sh := partition.Options{
-			MaxArea:     *shardMaxArea,
-			Strategy:    strat,
-			DriftBudget: *shardDriftBudget,
-		}.Normalized()
+		sh := partition.Options{MaxArea: *shardMaxArea, DriftBudget: *shardDriftBudget}.Normalized()
 		opt.Decompose = true
 		opt.Shard = &sh
 	}

@@ -55,8 +55,6 @@ func main() {
 		"append ?approx_shard=1 to every solve of a solve-kind scenario (bounded-drift sharding of giant components)")
 	shardMaxArea := flag.Int64("shard-max-area", 0,
 		"with -approx-shard, append shard_max_area=N to every solve (0 keeps the server default)")
-	shardStrategy := flag.String("shard-strategy", "",
-		"with -approx-shard, append shard_strategy= to every solve: modularity or bfs (empty keeps the server default)")
 	out := flag.String("out", "", "write the JSON report here; empty prints only the summary")
 	pin := flag.String("pin", "", "run the standard suite and write its snapshot to this path (BENCH_server.json)")
 	compare := flag.String("compare", "", "run the standard suite and compare against this snapshot; exit 1 on regression")
@@ -106,7 +104,6 @@ func main() {
 	if *approxShard {
 		sc.ApproxShard = true
 		sc.ShardMaxArea = *shardMaxArea
-		sc.ShardStrategy = *shardStrategy
 	}
 	opt.Scenario = sc
 	rep, err := load.Run(context.Background(), opt)

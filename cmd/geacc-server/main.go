@@ -77,8 +77,6 @@ func main() {
 		"approximate-shard giant components by default on /solve and rebalances (per-request opt-out via ?approx_shard=0)")
 	shardMaxArea := flag.Int64("shard-max-area", partition.DefaultMaxArea,
 		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := flag.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
 	shardDriftBudget := flag.Float64("shard-drift-budget", partition.DefaultDriftBudget,
 		"with -approx-shard, max tolerated drift estimate before monolithic fallback")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
@@ -97,16 +95,7 @@ func main() {
 
 	var shard *partition.Options
 	if *approxShard {
-		strat, err := partition.ParseStrategy(*shardStrategy)
-		if err != nil {
-			logger.Error("bad shard flags", "error", err)
-			os.Exit(2)
-		}
-		sh := partition.Options{
-			MaxArea:     *shardMaxArea,
-			Strategy:    strat,
-			DriftBudget: *shardDriftBudget,
-		}.Normalized()
+		sh := partition.Options{MaxArea: *shardMaxArea, DriftBudget: *shardDriftBudget}.Normalized()
 		shard = &sh
 	}
 

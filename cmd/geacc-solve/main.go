@@ -63,8 +63,6 @@ func run(args []string, stdout io.Writer) error {
 		"split oversized components into balanced sub-shards with a bounded-drift merge (implies -decompose)")
 	shardMaxArea := fs.Int64("shard-max-area", partition.DefaultMaxArea,
 		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := fs.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
 	shardDriftBudget := fs.Float64("shard-drift-budget", partition.DefaultDriftBudget,
 		"with -approx-shard, max tolerated MaxSum drift estimate before falling back to the monolithic solve")
 	quiet := fs.Bool("quiet", false, "suppress the summary log line")
@@ -113,15 +111,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *approxShard {
-		strat, err := partition.ParseStrategy(*shardStrategy)
-		if err != nil {
-			return err
-		}
-		sh := partition.Options{
-			MaxArea:     *shardMaxArea,
-			Strategy:    strat,
-			DriftBudget: *shardDriftBudget,
-		}.Normalized()
+		sh := partition.Options{MaxArea: *shardMaxArea, DriftBudget: *shardDriftBudget}.Normalized()
 		spec.Shard = &sh
 	}
 

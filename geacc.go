@@ -266,8 +266,6 @@ type ApproxShardOptions struct {
 	// MaxArea is the per-shard |V|·|U| target and the threshold above
 	// which a component is sharded at all; <= 0 means the default (20000).
 	MaxArea int64
-	// Strategy is "modularity" (default) or "bfs".
-	Strategy string
 	// DriftBudget is the hard cap on the bounded relative MaxSum loss per
 	// sharded component; a breach falls back to the monolithic component
 	// solve. <= 0 means the default (0.01).
@@ -294,11 +292,7 @@ func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error)
 		NodeLimit: opt.ExactNodeLimit,
 	}
 	if as := opt.ApproxShard; as != nil {
-		strat, err := partition.ParseStrategy(as.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		sh := partition.Options{MaxArea: as.MaxArea, Strategy: strat, DriftBudget: as.DriftBudget}.Normalized()
+		sh := partition.Options{MaxArea: as.MaxArea, DriftBudget: as.DriftBudget}.Normalized()
 		spec.Shard = &sh
 	}
 	return p.run(spec)

@@ -12,8 +12,8 @@ import (
 
 // bridgedInstance builds a small bridged-clustered instance: one giant
 // similarity component, the approximate-sharding workload. The CI bench
-// smoke (-benchtime=10x) runs these so a break in internal/partition shows
-// up without waiting for the full snapshot job.
+// smoke (-benchtime=10x ./internal/bench/...) runs these so a break in
+// internal/partition shows up without waiting for the full snapshot job.
 func bridgedInstance(tb testing.TB, nv, nu, communities int) *core.Instance {
 	cfg := dataset.DefaultClustered()
 	cfg.NumEvents = nv
@@ -53,18 +53,17 @@ func BenchmarkPartitionMonolithicClusteredV40U400C8(b *testing.B) {
 
 func BenchmarkPartitionSplitBuildClusteredV40U400C8(b *testing.B) {
 	in := bridgedInstance(b, 40, 400, 8)
-	noop := func(ctx context.Context, sub *core.Instance, events, users []int, shard int) (*core.Matching, error) {
-		return core.NewMatching(), nil
-	}
-	mono := func(ctx context.Context) (*core.Matching, error) {
-		return core.NewMatching(), nil
-	}
-	// DriftBudget 1 never falls back, so this times split + merge + repair
-	// bookkeeping with free shard solves.
+	// Shard solves are free (every shard contributes an empty matching),
+	// so this times Split plus Merge's lift, boundary repair and drift
+	// bookkeeping.
 	opt := partition.Options{MaxArea: 2000, DriftBudget: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := partition.SolveComponent(context.Background(), in, opt, noop, mono); err != nil {
+		sh, err := partition.Split(in, opt)
+		if err != nil || sh == nil {
+			b.Fatalf("Split = (%v, %v), want a sharding", sh, err)
+		}
+		if _, _, err := partition.Merge(context.Background(), in, sh, make([]*core.Matching, len(sh.Shards)), opt); err != nil {
 			b.Fatal(err)
 		}
 	}

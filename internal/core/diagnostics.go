@@ -86,7 +86,6 @@ type PartitionStats struct {
 	MaxDriftEstimate float64 `json:"max_drift_estimate"`
 	DriftBudget      float64 `json:"drift_budget"`
 	MaxArea          int64   `json:"max_area"`
-	Strategy         string  `json:"strategy"`
 	// BoundLoss is the measured relative MaxSum loss of the whole solve vs
 	// the unsharded Corollary 1 relaxation bound — identical to
 	// Diagnostics.Gap, restated here so the sharding artifact is

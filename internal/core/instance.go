@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/sim"
@@ -97,6 +98,51 @@ func NewMatrixInstance(events []Event, users []User, conflicts *conflict.Graph, 
 		}
 	}
 	return in, nil
+}
+
+// Restrict builds the sub-instance over the given parent events and users:
+// sub index i is events[i] (resp. users[i]). events must be ascending. It
+// keeps exactly the conflict edges with both endpoints in events, inserted
+// in parent order (ascending first endpoint, then the parent's adjacency
+// order), and rebuilds the instance through the same constructor as the
+// parent — matrix entries are copied and vector instances share SimFunc —
+// so every similarity is bit-identical to the parent's and a sub-instance
+// matching lifted back through events/users validates against the parent.
+func (in *Instance) Restrict(events, users []int) (*Instance, error) {
+	subEvents := make([]Event, len(events))
+	for i, v := range events {
+		subEvents[i] = in.Events[v]
+	}
+	subUsers := make([]User, len(users))
+	for i, u := range users {
+		subUsers[i] = in.Users[u]
+	}
+	var cf *conflict.Graph
+	if in.Conflicts != nil {
+		cf = conflict.New(len(events))
+		for i, v := range events {
+			for _, w := range in.Conflicts.Neighbors(v) {
+				if w <= v {
+					continue
+				}
+				if j, ok := slices.BinarySearch(events, w); ok {
+					cf.Add(i, j)
+				}
+			}
+		}
+	}
+	if in.Matrix == nil {
+		return NewInstance(subEvents, subUsers, cf, in.SimFunc)
+	}
+	matrix := make([][]float64, len(events))
+	for i, v := range events {
+		row := make([]float64, len(users))
+		for j, u := range users {
+			row[j] = in.Matrix[v][u]
+		}
+		matrix[i] = row
+	}
+	return NewMatrixInstance(subEvents, subUsers, cf, matrix)
 }
 
 // check validates the pieces common to both constructors.

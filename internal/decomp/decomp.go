@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
@@ -58,6 +57,11 @@ type Decomposition struct {
 	// no counterpart side: they cannot appear in any feasible matching.
 	StrandedEvents int
 	StrandedUsers  int
+
+	// eventComp / userComp map each parent event / user to the index of
+	// its component in Components, or -1 when it is stranded.
+	eventComp []int
+	userComp  []int
 
 	// BuildSeconds is the wall-clock cost of the union-graph scan,
 	// union-find, and sub-instance materialization.
@@ -123,44 +127,51 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 
 	// Group nodes by root, numbering components in first-appearance order
 	// over node ids — deterministic, so downstream seeds and merge order
-	// are stable across runs and worker counts.
-	compOf := make(map[int]int)
+	// are stable across runs and worker counts. groupOfRoot[r] is 1 + the
+	// group id of root r (0: not seen yet).
+	groupOfRoot := make([]int, nv+nu)
 	type group struct {
 		events, users []int
 	}
-	var groups []*group
+	var groups []group
 	for n := 0; n < nv+nu; n++ {
 		root := uf.find(n)
-		id, ok := compOf[root]
-		if !ok {
-			id = len(groups)
-			compOf[root] = id
-			groups = append(groups, &group{})
+		if groupOfRoot[root] == 0 {
+			groups = append(groups, group{})
+			groupOfRoot[root] = len(groups)
 		}
+		g := &groups[groupOfRoot[root]-1]
 		if n < nv {
-			groups[id].events = append(groups[id].events, n)
+			g.events = append(g.events, n)
 		} else {
-			groups[id].users = append(groups[id].users, n-nv)
+			g.users = append(g.users, n-nv)
 		}
 	}
 
-	d := &Decomposition{Parent: in}
-	// Parent-to-sub index maps, reused across components.
-	evSub := make([]int, nv)
-	usSub := make([]int, nu)
+	d := &Decomposition{Parent: in, eventComp: make([]int, nv), userComp: make([]int, nu)}
 	for _, g := range groups {
+		id := -1
 		if len(g.events) == 0 || len(g.users) == 0 {
 			// No pair can form here: skip materialization, count the nodes.
 			d.StrandedEvents += len(g.events)
 			d.StrandedUsers += len(g.users)
-			continue
+		} else {
+			// Conflict edges always join events of the same component
+			// (they are union-graph edges), so Restrict keeps all of them.
+			sub, err := in.Restrict(g.events, g.users)
+			if err != nil {
+				sp.Annotate("error", err.Error()).End()
+				return nil, fmt.Errorf("decomp: materialize component: %w", err)
+			}
+			id = len(d.Components)
+			d.Components = append(d.Components, Component{Events: g.events, Users: g.users, Sub: sub})
 		}
-		c, err := materialize(in, g.events, g.users, evSub, usSub)
-		if err != nil {
-			sp.Annotate("error", err.Error()).End()
-			return nil, err
+		for _, v := range g.events {
+			d.eventComp[v] = id
 		}
-		d.Components = append(d.Components, c)
+		for _, u := range g.users {
+			d.userComp[u] = id
+		}
 	}
 	d.BuildSeconds = time.Since(start).Seconds()
 	sp.Annotate("components", len(d.Components)).
@@ -168,58 +179,6 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 		Annotate("stranded_users", d.StrandedUsers).End()
 	decompBuildSeconds.Observe(d.BuildSeconds)
 	return d, nil
-}
-
-// materialize builds the sub-instance for one component. evSub/usSub are
-// scratch parent→sub index maps (only the component's entries are written,
-// so they can be reused without clearing).
-func materialize(in *core.Instance, events, users []int, evSub, usSub []int) (Component, error) {
-	for i, v := range events {
-		evSub[v] = i
-	}
-	for i, u := range users {
-		usSub[u] = i
-	}
-	subEvents := make([]core.Event, len(events))
-	for i, v := range events {
-		subEvents[i] = in.Events[v]
-	}
-	subUsers := make([]core.User, len(users))
-	for i, u := range users {
-		subUsers[i] = in.Users[u]
-	}
-	// Conflict edges always join events of the same component (they are
-	// union-graph edges), so remapping never leaves the sub index space.
-	var cf *conflict.Graph
-	if in.Conflicts != nil {
-		cf = conflict.New(len(events))
-		for _, v := range events {
-			for _, w := range in.Conflicts.Neighbors(v) {
-				if v < w {
-					cf.Add(evSub[v], evSub[w])
-				}
-			}
-		}
-	}
-	var sub *core.Instance
-	var err error
-	if in.Matrix != nil {
-		matrix := make([][]float64, len(events))
-		for i, v := range events {
-			mrow := make([]float64, len(users))
-			for j, u := range users {
-				mrow[j] = in.Matrix[v][u]
-			}
-			matrix[i] = mrow
-		}
-		sub, err = core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
-	} else {
-		sub, err = core.NewInstance(subEvents, subUsers, cf, in.SimFunc)
-	}
-	if err != nil {
-		return Component{}, fmt.Errorf("decomp: materialize component: %w", err)
-	}
-	return Component{Events: events, Users: users, Sub: sub}, nil
 }
 
 // MaxComponentArea returns the largest |V|·|U| over the components — the

@@ -2,7 +2,7 @@ package decomp
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -23,40 +23,20 @@ var (
 // appear in any feasible matching, so no component needs re-solving on
 // their account.
 func (d *Decomposition) DirtyComponents(events, users []int) []int {
-	nv, nu := d.Parent.NumEvents(), d.Parent.NumUsers()
-	compOfEvent := make(map[int]int)
-	compOfUser := make(map[int]int)
-	for i, c := range d.Components {
-		for _, v := range c.Events {
-			compOfEvent[v] = i
-		}
-		for _, u := range c.Users {
-			compOfUser[u] = i
+	ids := []int{}
+	add := func(comp []int, x int) {
+		if x >= 0 && x < len(comp) && comp[x] >= 0 {
+			ids = append(ids, comp[x])
 		}
 	}
-	dirty := make(map[int]bool)
 	for _, v := range events {
-		if v < 0 || v >= nv {
-			continue
-		}
-		if i, ok := compOfEvent[v]; ok {
-			dirty[i] = true
-		}
+		add(d.eventComp, v)
 	}
 	for _, u := range users {
-		if u < 0 || u >= nu {
-			continue
-		}
-		if i, ok := compOfUser[u]; ok {
-			dirty[i] = true
-		}
+		add(d.userComp, u)
 	}
-	ids := make([]int, 0, len(dirty))
-	for i := range dirty {
-		ids = append(ids, i)
-	}
-	sort.Ints(ids)
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // RebalanceResult reports one scoped arranger rebalance.
@@ -135,19 +115,17 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 
 	// Current per-component MaxSum: every matched pair has sim > 0, so its
 	// event and user share a component and the pair belongs to exactly one.
-	compOfEvent := make(map[int]int)
-	for i, c := range d.Components {
-		for _, v := range c.Events {
-			compOfEvent[v] = i
-		}
-	}
 	curSum := make([]float64, len(d.Components))
 	for _, p := range cur.Pairs() {
-		curSum[compOfEvent[p.V]] += p.Sim
+		if i := d.eventComp[p.V]; i >= 0 {
+			curSum[i] += p.Sim
+		}
 	}
 
-	// Decide per dirty component whether the fresh solve wins.
-	adopt := make(map[int]bool, len(ids))
+	// Decide per dirty component whether the fresh solve wins; ids is
+	// ascending, so adoptedIDs is too.
+	adopt := make([]bool, len(d.Components))
+	var adoptedIDs []int
 	for _, id := range ids {
 		m := fresh[id]
 		if m == nil {
@@ -155,12 +133,13 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 		}
 		if g := m.MaxSum() - curSum[id]; g > 0 {
 			adopt[id] = true
+			adoptedIDs = append(adoptedIDs, id)
 			res.Gain += g
 		}
 	}
 	rebalanceGain.Set(res.Gain)
 	sp.Annotate("gain", res.Gain)
-	if len(adopt) == 0 {
+	if len(adoptedIDs) == 0 {
 		return res, nil
 	}
 
@@ -169,15 +148,10 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	// with their sub-matchings' own pair order mapped to parent indices.
 	candidate := core.NewMatching()
 	for _, p := range cur.Pairs() {
-		if !adopt[compOfEvent[p.V]] {
+		if i := d.eventComp[p.V]; i < 0 || !adopt[i] {
 			candidate.Add(p.V, p.U, p.Sim)
 		}
 	}
-	adoptedIDs := make([]int, 0, len(adopt))
-	for id := range adopt {
-		adoptedIDs = append(adoptedIDs, id)
-	}
-	sort.Ints(adoptedIDs)
 	for _, id := range adoptedIDs {
 		c := d.Components[id]
 		for _, p := range fresh[id].Pairs() {

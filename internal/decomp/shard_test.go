@@ -2,6 +2,8 @@ package decomp
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -89,7 +91,7 @@ func TestShardGiantComponent(t *testing.T) {
 	if pst.MaxDriftEstimate <= 0 || pst.MaxDriftEstimate > sh.DriftBudget {
 		t.Fatalf("drift estimate %v outside (0, %v]", pst.MaxDriftEstimate, sh.DriftBudget)
 	}
-	if pst.MaxArea != sh.MaxArea || pst.DriftBudget != sh.DriftBudget || pst.Strategy != string(partition.StrategyModularity) {
+	if pst.MaxArea != sh.MaxArea || pst.DriftBudget != sh.DriftBudget {
 		t.Fatalf("options not echoed in stats %+v", pst)
 	}
 	for _, workers := range []int{2, 4} {
@@ -152,5 +154,66 @@ func TestShardComposesWithSolveCache(t *testing.T) {
 		if got[i] != base[i] {
 			t.Fatalf("cached re-run pair %d differs", i)
 		}
+	}
+}
+
+// TestShardCancelMidShard cancels the context from inside the first shard
+// solve: the remaining shards are skipped (the shard pool drains like the
+// component pool) and the cancellation surfaces as the run's error with no
+// matching.
+func TestShardCancelMidShard(t *testing.T) {
+	in := bridgedClustered(t, 24, 240, 6, 5)
+	d, err := Decompose(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int32
+	orig := solveComponentFn
+	solveComponentFn = func(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
+		if calls.Add(1) == 1 {
+			cancel() // the client goes away while shard 0 is in flight
+		}
+		return orig(ctx, algo, c, compIdx, opt)
+	}
+	defer func() { solveComponentFn = orig }()
+
+	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
+	m, err := d.SolveContext(ctx, "mincostflow", Options{Shard: &sh, Workers: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if m != nil {
+		t.Fatalf("canceled solve returned a matching with %d pairs", m.Size())
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d shard solves dispatched after cancellation, want 1", got)
+	}
+}
+
+// TestShardExactNodeLimit: a sharded exact solve whose shards trip a tiny
+// node limit still merges their best-so-far matchings into a feasible
+// arrangement, returned together with core.ErrNodeLimit.
+func TestShardExactNodeLimit(t *testing.T) {
+	in := bridgedClustered(t, 6, 24, 3, 1003)
+	d, err := Decompose(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := partition.Options{MaxArea: 48, DriftBudget: 1e9}
+	m, err := d.SolveContext(context.Background(), "exact", Options{Shard: &sh, ExactNodeLimit: 2})
+	if !errors.Is(err, core.ErrNodeLimit) {
+		t.Fatalf("err = %v, want core.ErrNodeLimit", err)
+	}
+	if m == nil {
+		t.Fatal("node-limited sharded solve returned no matching")
+	}
+	if err := core.Validate(in, m); err != nil {
+		t.Fatalf("merged matching infeasible: %v", err)
+	}
+	pst := d.PartitionStats()
+	if pst == nil || pst.Shards < 2 || pst.Fallbacks != 0 {
+		t.Fatalf("solve did not merge a multi-shard split: %+v", pst)
 	}
 }

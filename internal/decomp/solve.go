@@ -27,9 +27,10 @@ var (
 
 // Options tunes a decomposed solve.
 type Options struct {
-	// Workers bounds the component worker pool; <= 0 means GOMAXPROCS(0).
-	// The pool never exceeds the component count. The merged matching is
-	// invariant to this value.
+	// Workers bounds the component worker pool, and the shard pool nested
+	// inside each sharded component's job; <= 0 means GOMAXPROCS(0). A pool
+	// never exceeds its job count. The merged matching is invariant to
+	// this value.
 	Workers int
 	// Seed drives the random baselines. Each component derives its own
 	// deterministic seed from Seed and its component index, so results do
@@ -118,37 +119,67 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 	return m, err
 }
 
-// shardSolve routes one oversized component through internal/partition.
-// Each sub-shard becomes an ordinary Component (events/users mapped back to
-// parent indices) solved by solveComponentFn, so the solve cache, the
-// warm-started min-cost flow (keyed by the shard's smallest parent event
-// id), and the node-limited exact path all compose inside shards. The
-// monolithic fallback is the exact call the unsharded path would have made.
+// shardSolve routes one oversized component through internal/partition:
+// Split cuts it into sub-shards, each an ordinary Component (events/users
+// lifted to parent indices) solved by solveComponentFn in the same worker
+// pool as components, so the solve cache, the warm-started min-cost flow
+// (keyed by the shard's smallest parent event id), and the node-limited
+// exact path all compose inside shards; Merge then repairs the boundary
+// and checks the drift budget. A component that does not split, or whose
+// merge breaches the budget, is solved whole — the exact call the
+// unsharded path would have made.
 func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
 	popt := opt.Shard.Normalized()
-	if popt.Workers == 0 {
-		popt.Workers = opt.Workers
+	rec := obs.RecorderFrom(ctx)
+	sp := rec.Start("partition/component").
+		Annotate("events", len(c.Events)).
+		Annotate("users", len(c.Users))
+	fail := func(err error) (*core.Matching, error) {
+		sp.Annotate("error", err.Error()).End()
+		return nil, err
 	}
-	solve := func(ctx context.Context, sub *core.Instance, events, users []int, shard int) (*core.Matching, error) {
-		sc := Component{
-			Events: mapParent(c.Events, events),
-			Users:  mapParent(c.Users, users),
-			Sub:    sub,
-		}
+	sh, err := partition.Split(c.Sub, popt)
+	if err != nil {
+		return fail(err)
+	}
+	if sh == nil {
+		m, err := solveComponentFn(ctx, algo, c, compIdx, opt)
+		sp.Annotate("shards", 1).End()
+		return m, err
+	}
+	results, budgetErr, err := runPool(ctx, len(sh.Shards), opt.Workers, func(j int) (*core.Matching, error) {
+		s := sh.Shards[j]
+		ssp := rec.Start("partition/shard").
+			Annotate("shard", j).
+			Annotate("events", len(s.Events)).
+			Annotate("users", len(s.Users))
+		sc := Component{Events: mapParent(c.Events, s.Events), Users: mapParent(c.Users, s.Users), Sub: s.Sub}
 		// Synthetic per-shard index: gives each shard of each component a
 		// distinct deterministic seed stream for the random baselines
 		// (deterministic solvers ignore it, and cache keys hash the shard
 		// content, so rare index collisions across components are benign).
-		return solveComponentFn(ctx, algo, sc, compIdx*4096+shard+1, opt)
+		m, err := solveComponentFn(ctx, algo, sc, compIdx*4096+j+1, opt)
+		endSolveSpan(ssp, m, err)
+		return m, err
+	})
+	if err != nil {
+		return fail(err)
 	}
-	mono := func(ctx context.Context) (*core.Matching, error) {
-		return solveComponentFn(ctx, algo, c, compIdx, opt)
+	m, st, err := partition.Merge(ctx, c.Sub, sh, results, popt)
+	if err != nil {
+		return fail(err)
 	}
-	m, pst, err := partition.SolveComponent(ctx, c.Sub, popt, solve, mono)
-	if pst != nil && pst.Shards > 1 {
-		d.recordPartition(pst, popt)
+	d.recordPartition(st, popt)
+	sp.Annotate("shards", st.Shards).
+		Annotate("cut_pairs", st.CutPairs).
+		Annotate("drift_estimate", st.DriftEstimate)
+	if st.FellBack {
+		m, err = solveComponentFn(ctx, algo, c, compIdx, opt)
+		sp.Annotate("fallback", true).End()
+		return m, err
 	}
-	return m, err
+	sp.End()
+	return m, budgetErr
 }
 
 // mapParent lifts component-local shard indices to parent indices.
@@ -167,7 +198,6 @@ func (d *Decomposition) recordPartition(st *partition.Stats, popt partition.Opti
 		d.partStats = &core.PartitionStats{
 			DriftBudget: popt.DriftBudget,
 			MaxArea:     popt.MaxArea,
-			Strategy:    string(popt.Strategy),
 		}
 	}
 	agg := d.partStats
@@ -305,69 +335,29 @@ func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, op
 		Annotate("components", n).
 		Annotate("workers", workers)
 
-	results := make([]*core.Matching, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// After a fatal error (or cancellation) the remaining
-				// components drain without solving; their errs stay nil and
-				// the first fatal error, by dispatch order, is reported.
-				if failed.Load() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					errs[j] = err
-					failed.Store(true)
-					continue
-				}
-				i := ids[j]
-				c := d.Components[i]
-				csp := rec.Start("decomp/component").
-					Annotate("component", i).
-					Annotate("events", len(c.Events)).
-					Annotate("users", len(c.Users))
-				var m *core.Matching
-				var err error
-				if sh := opt.Shard; sh != nil &&
-					int64(len(c.Events))*int64(len(c.Users)) > sh.Normalized().MaxArea {
-					m, err = d.shardSolve(ctx, algo, c, i, opt)
-				} else {
-					m, err = solveComponentFn(ctx, algo, c, i, opt)
-				}
-				decompComponents.Inc()
-				decompComponentSize.Observe(float64(len(c.Events) + len(c.Users)))
-				results[j], errs[j] = m, err
-				if err != nil && !errors.Is(err, core.ErrNodeLimit) {
-					failed.Store(true)
-					csp.Annotate("error", err.Error()).End()
-					continue
-				}
-				csp.Annotate("pairs", m.Size()).End()
-			}
-		}()
-	}
-	for j := 0; j < n; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-
-	var budgetErr error
-	for j, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, core.ErrNodeLimit):
-			budgetErr = err
-		default:
-			sp.Annotate("error", err.Error()).End()
-			return nil, nil, errs[j]
+	results, budgetErr, err := runPool(ctx, n, workers, func(j int) (*core.Matching, error) {
+		i := ids[j]
+		c := d.Components[i]
+		csp := rec.Start("decomp/component").
+			Annotate("component", i).
+			Annotate("events", len(c.Events)).
+			Annotate("users", len(c.Users))
+		var m *core.Matching
+		var err error
+		if sh := opt.Shard; sh != nil &&
+			int64(len(c.Events))*int64(len(c.Users)) > sh.Normalized().MaxArea {
+			m, err = d.shardSolve(ctx, algo, c, i, opt)
+		} else {
+			m, err = solveComponentFn(ctx, algo, c, i, opt)
 		}
+		decompComponents.Inc()
+		decompComponentSize.Observe(float64(len(c.Events) + len(c.Users)))
+		endSolveSpan(csp, m, err)
+		return m, err
+	})
+	if err != nil {
+		sp.Annotate("error", err.Error()).End()
+		return nil, nil, err
 	}
 	byID := make(map[int]*core.Matching, n)
 	var pairs int
@@ -379,4 +369,67 @@ func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, op
 	}
 	sp.Annotate("pairs", pairs).End()
 	return byID, budgetErr, nil
+}
+
+// runPool solves jobs 0..n-1 on at most workers goroutines (normalized like
+// Options.Workers) and returns their matchings by job index — the one
+// worker pool under components and, nested inside a component's job, its
+// shards. ctx is polled before each job; after the first fatal error or
+// cancellation the remaining jobs drain without solving, and the first
+// fatal error by job index is returned with nil results. core.ErrNodeLimit
+// is non-fatal: the job keeps its best-so-far matching and the error is
+// returned alongside the results.
+func runPool(ctx context.Context, n, workers int, solve func(j int) (*core.Matching, error)) ([]*core.Matching, error, error) {
+	results := make([]*core.Matching, n)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := normalizeWorkers(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				if failed.Load() {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					errs[j] = err
+					failed.Store(true)
+					continue
+				}
+				results[j], errs[j] = solve(j)
+				if errs[j] != nil && !errors.Is(errs[j], core.ErrNodeLimit) {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	for j := 0; j < n; j++ {
+		jobs <- j
+	}
+	close(jobs)
+	wg.Wait()
+
+	var budgetErr error
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, core.ErrNodeLimit):
+			budgetErr = err
+		default:
+			return nil, nil, err
+		}
+	}
+	return results, budgetErr, nil
+}
+
+// endSolveSpan closes a per-job span: a fatal error annotates it, anything
+// else (ErrNodeLimit included) records the matching's pair count.
+func endSolveSpan(sp *obs.Span, m *core.Matching, err error) {
+	if err != nil && !errors.Is(err, core.ErrNodeLimit) {
+		sp.Annotate("error", err.Error()).End()
+		return
+	}
+	sp.Annotate("pairs", m.Size()).End()
 }

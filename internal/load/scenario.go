@@ -70,11 +70,10 @@ type Scenario struct {
 	NoCache bool `json:"no_cache,omitempty"`
 	// ApproxShard appends ?approx_shard=1 to every solve, routing oversized
 	// components through internal/partition's bounded-drift sharding;
-	// ShardMaxArea and ShardStrategy tune it when non-zero (geacc-load
-	// -approx-shard/-shard-max-area/-shard-strategy).
-	ApproxShard   bool   `json:"approx_shard,omitempty"`
-	ShardMaxArea  int64  `json:"shard_max_area,omitempty"`
-	ShardStrategy string `json:"shard_strategy,omitempty"`
+	// ShardMaxArea tunes it when non-zero (geacc-load
+	// -approx-shard/-shard-max-area).
+	ApproxShard  bool  `json:"approx_shard,omitempty"`
+	ShardMaxArea int64 `json:"shard_max_area,omitempty"`
 
 	// KindDelta fields: the instance's similarity space, the initial
 	// population each lane sets up before measurement, and the op mix.

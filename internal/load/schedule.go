@@ -64,9 +64,6 @@ func newSolveStream(sc Scenario, seed int64, lane int) (*laneStream, error) {
 		if sc.ShardMaxArea > 0 {
 			path += fmt.Sprintf("&shard_max_area=%d", sc.ShardMaxArea)
 		}
-		if sc.ShardStrategy != "" {
-			path += "&shard_strategy=" + url.QueryEscape(sc.ShardStrategy)
-		}
 	}
 	bodies := make([][]byte, sc.Variants)
 	for v := range bodies {

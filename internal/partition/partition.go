@@ -12,9 +12,11 @@ import (
 // tens of milliseconds; DefaultDriftBudget caps the bounded relative MaxSum
 // loss at 1%.
 const (
-	DefaultMaxArea      int64   = 20000
-	DefaultDriftBudget  float64 = 0.01
-	DefaultRepairRounds         = 2
+	DefaultMaxArea     int64   = 20000
+	DefaultDriftBudget float64 = 0.01
+
+	// repairRounds caps the boundary repair sweeps.
+	repairRounds = 2
 
 	// coOccurTop bounds the per-user fan-out of the event co-interest
 	// graph: only a user's strongest coOccurTop events attract pairwise.
@@ -22,46 +24,15 @@ const (
 	coOccurTop = 8
 )
 
-// Strategy names an event-grouping heuristic.
-type Strategy string
-
-const (
-	// StrategyModularity greedily merges event groups by modularity gain
-	// over the co-interest graph (CNM-style agglomeration).
-	StrategyModularity Strategy = "modularity"
-	// StrategyBFS grows balanced groups breadth-first, visiting conflict
-	// neighbors before similarity neighbors.
-	StrategyBFS Strategy = "bfs"
-)
-
-// ParseStrategy maps a flag/query value to a Strategy; "" means the default.
-func ParseStrategy(s string) (Strategy, error) {
-	switch Strategy(s) {
-	case "", StrategyModularity:
-		return StrategyModularity, nil
-	case StrategyBFS:
-		return StrategyBFS, nil
-	}
-	return "", fmt.Errorf("partition: unknown strategy %q (want %q or %q)", s, StrategyModularity, StrategyBFS)
-}
-
 // Options tunes the approximate sharding of one component.
 type Options struct {
 	// MaxArea is the per-shard |V|·|U| target (and the threshold above
 	// which callers shard at all); <= 0 means DefaultMaxArea.
 	MaxArea int64
-	// Strategy picks the event-grouping heuristic; "" means modularity.
-	Strategy Strategy
 	// DriftBudget is the hard cap on DriftEstimate (the bounded relative
 	// MaxSum loss); exceeding it falls back to the monolithic solve.
 	// <= 0 means DefaultDriftBudget.
 	DriftBudget float64
-	// Workers bounds the shard solve pool; <= 0 means GOMAXPROCS(0). The
-	// merged matching is invariant to this value.
-	Workers int
-	// RepairRounds caps the boundary repair sweeps; <= 0 means
-	// DefaultRepairRounds.
-	RepairRounds int
 }
 
 // Normalized returns o with defaults applied to every zero field.
@@ -69,21 +40,14 @@ func (o Options) Normalized() Options {
 	if o.MaxArea <= 0 {
 		o.MaxArea = DefaultMaxArea
 	}
-	if o.Strategy == "" {
-		o.Strategy = StrategyModularity
-	}
 	if o.DriftBudget <= 0 {
 		o.DriftBudget = DefaultDriftBudget
-	}
-	if o.RepairRounds <= 0 {
-		o.RepairRounds = DefaultRepairRounds
 	}
 	return o
 }
 
-// Shard is one sub-shard of a component: index lists into the component's
-// space plus the materialized sub-instance (similarities bit-identical to
-// the component's, like decomp's materialization).
+// Shard is one sub-shard of a component: ascending index lists into the
+// component's space plus the sub-instance they restrict it to.
 type Shard struct {
 	Events []int
 	Users  []int
@@ -97,11 +61,11 @@ type cutPair struct {
 	sim  float64
 }
 
-// split is the full sharding of one component.
-type split struct {
-	shards       []Shard
+// Sharding is the split of one component: its shards plus the cut data
+// Merge needs to repair the boundary and bound the drift.
+type Sharding struct {
+	Shards       []Shard
 	cuts         []cutPair
-	cutWeight    float64
 	cutConflicts int
 	// lostCutBound is min(user side, event side) of the per-node
 	// top-capacity cut-similarity sums: a sound upper bound on the MaxSum
@@ -115,9 +79,9 @@ type userEdge struct {
 	sim float64
 }
 
-// buildSplit computes the sharding. A nil, nil return means the component
-// does not shard under opt (at or below the area threshold, or nothing to
-// split) and the caller should solve it as-is.
+// Split shards the component in under opt. A nil, nil return means there is nothing to shard — the component is at or
+// below the area threshold, or fewer than two shards would hold both
+// events and users — and the caller should solve it whole.
 //
 // Group growth is driven by a projected-area estimate, not a fixed group
 // count: a group of e events holding mass share M/T of the total
@@ -125,7 +89,8 @@ type userEdge struct {
 // projected area is e·|U|·M/T. Groups grow only while that stays ≤ MaxArea
 // — natural communities are never split just to hit a target count, which
 // is what keeps the cut (and therefore the drift) small.
-func buildSplit(in *core.Instance, opt Options) (*split, error) {
+func Split(in *core.Instance, opt Options) (*Sharding, error) {
+	opt = opt.Normalized()
 	nv, nu := in.NumEvents(), in.NumUsers()
 	area := int64(nv) * int64(nu)
 	if area <= opt.MaxArea || nv < 2 || nu < 2 {
@@ -149,15 +114,8 @@ func buildSplit(in *core.Instance, opt Options) (*split, error) {
 		totalMass += eventMass[v]
 	}
 
-	w := coInterestGraph(nv, userEdges, in.Conflicts)
-	// allowed reports whether a group of size events with the given mass
-	// stays within the projected per-shard area budget.
-	allowed := func(size int, mass float64) bool {
-		return float64(size)*float64(nu)*mass <= float64(opt.MaxArea)*totalMass
-	}
 	var groupOf []int
-	switch {
-	case totalMass == 0:
+	if totalMass == 0 {
 		// No positive similarity at all (cannot happen for a decomp
 		// component, but keep the function total): contiguous chunks.
 		k := int((area + opt.MaxArea - 1) / opt.MaxArea)
@@ -169,45 +127,57 @@ func buildSplit(in *core.Instance, opt Options) (*split, error) {
 		for v := range groupOf {
 			groupOf[v] = v / evCap
 		}
-	case opt.Strategy == StrategyBFS:
-		groupOf = bfsGroups(nv, w, in.Conflicts, eventMass, allowed)
-	default:
+	} else {
+		w := coInterestGraph(nv, userEdges, in.Conflicts)
+		// allowed reports whether a group of size events with the given
+		// mass stays within the projected per-shard area budget.
+		allowed := func(size int, mass float64) bool {
+			return float64(size)*float64(nu)*mass <= float64(opt.MaxArea)*totalMass
+		}
 		groupOf = modularityGroups(nv, w, eventMass, allowed)
 	}
 	groupOf = renumberGroups(groupOf)
 
 	shardEvents := groupMembers(groupOf)
 	userShard := assignUsers(nu, userEdges, groupOf, shardEvents, opt.MaxArea)
-
-	sl := &split{}
-	collectCuts(in, userEdges, groupOf, userShard, sl)
-
-	// Materialize non-degenerate shards (a group whose events interest no
-	// assigned user solves to nothing; its pairs are all cut and already
-	// counted in the bound).
 	shardUsers := make([][]int, len(shardEvents))
 	for u, s := range userShard {
 		shardUsers[s] = append(shardUsers[s], u)
 	}
-	evSub := make([]int, nv)
-	usSub := make([]int, nu)
+	// Only shards with both events and users are solved (a group whose
+	// events interest no assigned user solves to nothing; its pairs are all
+	// cut and counted in the bound).
+	live := 0
+	for s := range shardEvents {
+		if len(shardEvents[s]) > 0 && len(shardUsers[s]) > 0 {
+			live++
+		}
+	}
+	if live < 2 {
+		return nil, nil
+	}
+
+	sh := &Sharding{}
+	collectCuts(in, userEdges, groupOf, userShard, sh)
 	for s := range shardEvents {
 		if len(shardEvents[s]) == 0 || len(shardUsers[s]) == 0 {
 			continue
 		}
-		sub, err := materializeShard(in, shardEvents[s], shardUsers[s], groupOf, evSub, usSub)
+		// Restrict keeps only intra-shard conflict edges: cross-shard
+		// conflicts cannot bind because users never span shards.
+		sub, err := in.Restrict(shardEvents[s], shardUsers[s])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("partition: restrict shard: %w", err)
 		}
-		sl.shards = append(sl.shards, Shard{Events: shardEvents[s], Users: shardUsers[s], Sub: sub})
+		sh.Shards = append(sh.Shards, Shard{Events: shardEvents[s], Users: shardUsers[s], Sub: sub})
 	}
-	return sl, nil
+	return sh, nil
 }
 
 // coInterestGraph builds the weighted event graph: for each user its top
 // coOccurTop events attract pairwise with weight sim_i·sim_j, and conflict
-// edges get a boost larger than any co-interest weight so both strategies
-// keep CF pairs together whenever the balance cap allows.
+// edges get a boost larger than any co-interest weight so the grouping
+// keeps CF pairs together whenever the balance cap allows.
 func coInterestGraph(nv int, userEdges [][]userEdge, cf *conflict.Graph) map[int64]float64 {
 	w := make(map[int64]float64)
 	top := make([]userEdge, 0, coOccurTop)
@@ -367,76 +337,8 @@ func mergeGroups(groups []*mgroup, i, j int) {
 	gj.min = i // link for resolveGroups
 }
 
-// bfsGroups grows groups breadth-first from the smallest unassigned event,
-// visiting conflict neighbors before similarity neighbors (so CF pairs land
-// together whenever the allowance permits), closing a group when the next
-// event would push its projected area past the budget.
-func bfsGroups(nv int, w map[int64]float64, cf *conflict.Graph, eventMass []float64, allowed func(int, float64) bool) []int {
-	type adjEdge struct {
-		to int
-		w  float64
-	}
-	adj := make([][]adjEdge, nv)
-	for key, x := range w {
-		a, b := int(key/int64(nv)), int(key%int64(nv))
-		adj[a] = append(adj[a], adjEdge{b, x})
-		adj[b] = append(adj[b], adjEdge{a, x})
-	}
-	for v := range adj {
-		sort.Slice(adj[v], func(i, j int) bool {
-			if adj[v][i].w != adj[v][j].w {
-				return adj[v][i].w > adj[v][j].w
-			}
-			return adj[v][i].to < adj[v][j].to
-		})
-	}
-
-	groupOf := make([]int, nv)
-	for v := range groupOf {
-		groupOf[v] = -1
-	}
-	g := 0
-	for seed := 0; seed < nv; seed++ {
-		if groupOf[seed] != -1 {
-			continue
-		}
-		count := 0
-		mass := 0.0
-		queue := []int{seed}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			if groupOf[v] != -1 {
-				continue
-			}
-			// The seed always joins (every event needs a home); later
-			// events only while the projected area stays within budget.
-			if count > 0 && !allowed(count+1, mass+eventMass[v]) {
-				continue
-			}
-			groupOf[v] = g
-			count++
-			mass += eventMass[v]
-			if cf != nil {
-				for _, nb := range cf.Neighbors(v) {
-					if groupOf[nb] == -1 {
-						queue = append(queue, nb)
-					}
-				}
-			}
-			for _, e := range adj[v] {
-				if groupOf[e.to] == -1 {
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		g++
-	}
-	return groupOf
-}
-
 // renumberGroups compacts group ids to 0..S-1 in order of first appearance
-// over ascending event ids — deterministic and strategy-independent.
+// over ascending event ids, so shard numbering is deterministic.
 func renumberGroups(groupOf []int) []int {
 	next := 0
 	seen := make(map[int]int)
@@ -519,7 +421,7 @@ func assignUsers(nu int, userEdges [][]userEdge, groupOf []int, shardEvents [][]
 // collectCuts records every positive pair crossing shards, the crossing
 // conflict edges (structurally non-binding after the merge), and the
 // capacity-aware lost-cut bound.
-func collectCuts(in *core.Instance, userEdges [][]userEdge, groupOf, userShard []int, sl *split) {
+func collectCuts(in *core.Instance, userEdges [][]userEdge, groupOf, userShard []int, sh *Sharding) {
 	nv := in.NumEvents()
 	userCut := make([][]float64, len(userEdges))
 	eventCut := make([][]float64, nv)
@@ -529,8 +431,7 @@ func collectCuts(in *core.Instance, userEdges [][]userEdge, groupOf, userShard [
 			if groupOf[e.v] == su {
 				continue
 			}
-			sl.cuts = append(sl.cuts, cutPair{v: e.v, u: u, sim: e.sim})
-			sl.cutWeight += e.sim
+			sh.cuts = append(sh.cuts, cutPair{v: e.v, u: u, sim: e.sim})
 			userCut[u] = append(userCut[u], e.sim)
 			eventCut[e.v] = append(eventCut[e.v], e.sim)
 		}
@@ -543,14 +444,14 @@ func collectCuts(in *core.Instance, userEdges [][]userEdge, groupOf, userShard [
 	for v, sims := range eventCut {
 		eventSide += topSum(sims, in.Events[v].Cap)
 	}
-	sl.lostCutBound = userSide
+	sh.lostCutBound = userSide
 	if eventSide < userSide {
-		sl.lostCutBound = eventSide
+		sh.lostCutBound = eventSide
 	}
 	if in.Conflicts != nil {
 		for _, p := range in.Conflicts.Pairs() {
 			if groupOf[p[0]] != groupOf[p[1]] {
-				sl.cutConflicts++
+				sh.cutConflicts++
 			}
 		}
 	}
@@ -567,56 +468,4 @@ func topSum(sims []float64, c int) float64 {
 		total += s
 	}
 	return total
-}
-
-// materializeShard builds the sub-instance for one shard, mirroring
-// decomp's materialization (similarities bit-identical to the component's;
-// only intra-shard conflict edges are kept — cross-shard conflicts cannot
-// bind because users never span shards). evSub/usSub are scratch
-// component→shard index maps; only the shard's entries are written.
-func materializeShard(in *core.Instance, events, users []int, groupOf []int, evSub, usSub []int) (*core.Instance, error) {
-	for i, v := range events {
-		evSub[v] = i
-	}
-	for i, u := range users {
-		usSub[u] = i
-	}
-	subEvents := make([]core.Event, len(events))
-	for i, v := range events {
-		subEvents[i] = in.Events[v]
-	}
-	subUsers := make([]core.User, len(users))
-	for i, u := range users {
-		subUsers[i] = in.Users[u]
-	}
-	var cf *conflict.Graph
-	if in.Conflicts != nil {
-		cf = conflict.New(len(events))
-		for _, v := range events {
-			for _, nb := range in.Conflicts.Neighbors(v) {
-				if v < nb && groupOf[nb] == groupOf[v] {
-					cf.Add(evSub[v], evSub[nb])
-				}
-			}
-		}
-	}
-	var sub *core.Instance
-	var err error
-	if in.Matrix != nil {
-		matrix := make([][]float64, len(events))
-		for i, v := range events {
-			mrow := make([]float64, len(users))
-			for j, u := range users {
-				mrow[j] = in.Matrix[v][u]
-			}
-			matrix[i] = mrow
-		}
-		sub, err = core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
-	} else {
-		sub, err = core.NewInstance(subEvents, subUsers, cf, in.SimFunc)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("partition: materialize shard: %w", err)
-	}
-	return sub, nil
 }

@@ -26,16 +26,43 @@ func bridged(t testing.TB, nv, nu, k int, cfRatio, bridgeFrac float64, seed int6
 	return in
 }
 
-// mcfFuncs returns the shard and mono solve hooks every test uses: plain
-// registry min-cost flow on the sub-instance and on the whole component.
-func mcfFuncs(in *core.Instance) (ShardSolveFunc, MonoSolveFunc) {
-	solve := func(ctx context.Context, sub *core.Instance, events, users []int, shard int) (*core.Matching, error) {
-		return core.SolveContext(ctx, "mincostflow", sub, nil)
+// solveSharded drives a component the way internal/decomp does in
+// production, serially: Split, solve every shard with algo, Merge, and
+// solve in whole when there is nothing to shard or the merge falls back.
+// The returned stats are nil when in did not split.
+func solveSharded(t testing.TB, in *core.Instance, algo string, opt Options) (*core.Matching, *Stats) {
+	t.Helper()
+	sh, err := Split(in, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mono := func(ctx context.Context) (*core.Matching, error) {
-		return core.SolveContext(ctx, "mincostflow", in, nil)
+	if sh == nil {
+		return solveWhole(t, in, algo), nil
 	}
-	return solve, mono
+	results := make([]*core.Matching, len(sh.Shards))
+	for j, s := range sh.Shards {
+		if results[j], err = core.SolveContext(context.Background(), algo, s.Sub, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, st, err := Merge(context.Background(), in, sh, results, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FellBack {
+		m = solveWhole(t, in, algo)
+	}
+	return m, st
+}
+
+// solveWhole is the unsharded (monolithic) solve of in.
+func solveWhole(t testing.TB, in *core.Instance, algo string) *core.Matching {
+	t.Helper()
+	m, err := core.SolveContext(context.Background(), algo, in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func samePairs(a, b *core.Matching) bool {
@@ -51,175 +78,126 @@ func samePairs(a, b *core.Matching) bool {
 	return true
 }
 
-func TestParseStrategy(t *testing.T) {
-	for in, want := range map[string]Strategy{
-		"": StrategyModularity, "modularity": StrategyModularity, "bfs": StrategyBFS,
-	} {
-		got, err := ParseStrategy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseStrategy(%q) = (%v, %v), want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseStrategy("zigzag"); err == nil {
-		t.Fatal("ParseStrategy accepted an unknown strategy")
-	}
-}
-
 func TestNormalizedDefaults(t *testing.T) {
 	o := Options{}.Normalized()
-	if o.MaxArea != DefaultMaxArea || o.Strategy != StrategyModularity ||
-		o.DriftBudget != DefaultDriftBudget || o.RepairRounds != DefaultRepairRounds {
+	if o.MaxArea != DefaultMaxArea || o.DriftBudget != DefaultDriftBudget {
 		t.Fatalf("unexpected defaults %+v", o)
 	}
-	set := Options{MaxArea: 7, Strategy: StrategyBFS, DriftBudget: 0.2, Workers: 3, RepairRounds: 5}
+	set := Options{MaxArea: 7, DriftBudget: 0.2}
 	if got := set.Normalized(); got != set {
 		t.Fatalf("Normalized clobbered explicit options: %+v", got)
 	}
 }
 
-// TestBuildSplitDisjointCoverage: the split is a true partition — every user
-// in exactly one shard, every event in at most one (events of a shard that
+// TestBuildSplitDisjointCoverage: Split is a true partition — every user in
+// exactly one shard, every event in at most one (events of a shard that
 // attracted no users are dropped, their pairs counted as cut), and shard
 // sub-instances carry the parent's similarities bit-identically.
 func TestBuildSplitDisjointCoverage(t *testing.T) {
 	in := bridged(t, 24, 240, 6, 0.3, 0.2, 11)
-	for _, strat := range []Strategy{StrategyModularity, StrategyBFS} {
-		opt := Options{MaxArea: 500, Strategy: strat}.Normalized()
-		sl, err := buildSplit(in, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
+	sh, err := Split(in, Options{MaxArea: 500}.Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh == nil || len(sh.Shards) < 2 {
+		t.Fatal("expected a multi-shard split")
+	}
+	evSeen := make(map[int]int)
+	usSeen := make(map[int]int)
+	for si, s := range sh.Shards {
+		if len(s.Events) == 0 || len(s.Users) == 0 {
+			t.Fatalf("shard %d degenerate (%d events, %d users)", si, len(s.Events), len(s.Users))
 		}
-		if sl == nil || len(sl.shards) < 2 {
-			t.Fatalf("%s: expected a multi-shard split", strat)
+		for _, v := range s.Events {
+			if prev, dup := evSeen[v]; dup {
+				t.Fatalf("event %d in shards %d and %d", v, prev, si)
+			}
+			evSeen[v] = si
 		}
-		evSeen := make(map[int]int)
-		usSeen := make(map[int]int)
-		for si, sh := range sl.shards {
-			if len(sh.Events) == 0 || len(sh.Users) == 0 {
-				t.Fatalf("%s: shard %d degenerate (%d events, %d users)", strat, si, len(sh.Events), len(sh.Users))
+		for _, u := range s.Users {
+			if prev, dup := usSeen[u]; dup {
+				t.Fatalf("user %d in shards %d and %d", u, prev, si)
 			}
-			for _, v := range sh.Events {
-				if prev, dup := evSeen[v]; dup {
-					t.Fatalf("%s: event %d in shards %d and %d", strat, v, prev, si)
-				}
-				evSeen[v] = si
-			}
-			for _, u := range sh.Users {
-				if prev, dup := usSeen[u]; dup {
-					t.Fatalf("%s: user %d in shards %d and %d", strat, u, prev, si)
-				}
-				usSeen[u] = si
-			}
-			for i, v := range sh.Events {
-				for j, u := range sh.Users {
-					if got, want := sh.Sub.Similarity(i, j), in.Similarity(v, u); got != want {
-						t.Fatalf("%s: sub sim(%d,%d)=%v != parent sim(%d,%d)=%v", strat, i, j, got, v, u, want)
-					}
+			usSeen[u] = si
+		}
+		for i, v := range s.Events {
+			for j, u := range s.Users {
+				if got, want := s.Sub.Similarity(i, j), in.Similarity(v, u); got != want {
+					t.Fatalf("sub sim(%d,%d)=%v != parent sim(%d,%d)=%v", i, j, got, v, u, want)
 				}
 			}
 		}
-		if len(usSeen) != in.NumUsers() {
-			t.Fatalf("%s: %d users covered, want %d", strat, len(usSeen), in.NumUsers())
-		}
-		if sl.lostCutBound < 0 || (len(sl.cuts) > 0 && sl.lostCutBound <= 0) {
-			t.Fatalf("%s: implausible lost-cut bound %v for %d cuts", strat, sl.lostCutBound, len(sl.cuts))
-		}
+	}
+	if len(usSeen) != in.NumUsers() {
+		t.Fatalf("%d users covered, want %d", len(usSeen), in.NumUsers())
+	}
+	if sh.lostCutBound < 0 || (len(sh.cuts) > 0 && sh.lostCutBound <= 0) {
+		t.Fatalf("implausible lost-cut bound %v for %d cuts", sh.lostCutBound, len(sh.cuts))
 	}
 }
 
 func TestBuildSplitBelowThreshold(t *testing.T) {
 	in := bridged(t, 8, 40, 4, 0.2, 0.25, 3)
 	area := int64(in.NumEvents()) * int64(in.NumUsers())
-	sl, err := buildSplit(in, Options{MaxArea: area}.Normalized())
+	sh, err := Split(in, Options{MaxArea: area}.Normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sl != nil {
-		t.Fatal("buildSplit sharded a component at the area threshold")
+	if sh != nil {
+		t.Fatal("Split sharded a component at the area threshold")
 	}
 }
 
-// TestSolveComponentFeasible: on the giant bridged component, both
-// strategies produce a multi-shard split whose merged matching validates
-// against the full instance (capacities + conflicts) with populated stats.
+// TestSolveComponentFeasible: on the giant bridged component, Split yields
+// several shards whose Merge validates against the full instance
+// (capacities + conflicts) with populated stats.
 func TestSolveComponentFeasible(t *testing.T) {
 	in := bridged(t, 32, 320, 8, 0.3, 0.1, 7)
-	solve, mono := mcfFuncs(in)
-	for _, strat := range []Strategy{StrategyModularity, StrategyBFS} {
-		opt := Options{MaxArea: 600, Strategy: strat, DriftBudget: 0.9}
-		m, st, err := SolveComponent(context.Background(), in, opt, solve, mono)
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if st.Shards < 2 {
-			t.Fatalf("%s: %d shards, want >= 2", strat, st.Shards)
-		}
-		if st.FellBack {
-			t.Fatalf("%s: unexpected fallback (drift estimate %v)", strat, st.DriftEstimate)
-		}
-		if err := core.Validate(in, m); err != nil {
-			t.Fatalf("%s: merged matching infeasible: %v", strat, err)
-		}
-		if st.CutPairs <= 0 || st.LostCutBound <= 0 {
-			t.Fatalf("%s: bridged instance produced no cut (%+v)", strat, st)
-		}
-		if st.DriftEstimate <= 0 || st.DriftEstimate > opt.DriftBudget {
-			t.Fatalf("%s: drift estimate %v outside (0, %v]", strat, st.DriftEstimate, opt.DriftBudget)
-		}
-		if st.Strategy != string(strat) || st.LargestEvents <= 0 || st.LargestUsers <= 0 {
-			t.Fatalf("%s: unpopulated stats %+v", strat, st)
-		}
+	opt := Options{MaxArea: 600, DriftBudget: 0.9}
+	m, st := solveSharded(t, in, "mincostflow", opt)
+	if st == nil || st.Shards < 2 {
+		t.Fatalf("expected a multi-shard split, got stats %+v", st)
 	}
-}
-
-// TestSolveComponentDeterministicAcrossWorkers: the merged matching is a
-// pure function of (instance, options) — identical pairs for any worker
-// count and across repeated runs.
-func TestSolveComponentDeterministicAcrossWorkers(t *testing.T) {
-	in := bridged(t, 24, 240, 6, 0.25, 0.15, 19)
-	solve, mono := mcfFuncs(in)
-	var ref *core.Matching
-	for _, workers := range []int{1, 2, 4, 7, 1} {
-		opt := Options{MaxArea: 500, DriftBudget: 0.9, Workers: workers}
-		m, _, err := SolveComponent(context.Background(), in, opt, solve, mono)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = m
-			continue
-		}
-		if !samePairs(ref, m) {
-			t.Fatalf("workers=%d: merged matching differs from workers=1", workers)
-		}
+	if st.FellBack {
+		t.Fatalf("unexpected fallback (drift estimate %v)", st.DriftEstimate)
+	}
+	if err := core.Validate(in, m); err != nil {
+		t.Fatalf("merged matching infeasible: %v", err)
+	}
+	if st.CutPairs <= 0 || st.LostCutBound <= 0 {
+		t.Fatalf("bridged instance produced no cut (%+v)", st)
+	}
+	if st.DriftEstimate <= 0 || st.DriftEstimate > opt.DriftBudget {
+		t.Fatalf("drift estimate %v outside (0, %v]", st.DriftEstimate, opt.DriftBudget)
 	}
 }
 
 // TestSolveComponentTinyBudgetFallsBack: a drift budget below any positive
-// estimate must trigger the hard monolithic fallback, bit-identical to the
-// mono solve.
+// estimate must make Merge report the hard fallback and withhold the
+// merged matching.
 func TestSolveComponentTinyBudgetFallsBack(t *testing.T) {
 	in := bridged(t, 24, 240, 6, 0.25, 0.15, 19)
-	solve, mono := mcfFuncs(in)
 	opt := Options{MaxArea: 500, DriftBudget: 1e-12}
-	m, st, err := SolveComponent(context.Background(), in, opt, solve, mono)
+	sh, err := Split(in, opt)
+	if err != nil || sh == nil {
+		t.Fatalf("Split = (%v, %v), want a sharding", sh, err)
+	}
+	results := make([]*core.Matching, len(sh.Shards))
+	for j, s := range sh.Shards {
+		results[j] = solveWhole(t, s.Sub, "mincostflow")
+	}
+	m, st, err := Merge(context.Background(), in, sh, results, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.FellBack {
-		t.Fatalf("no fallback at budget 1e-12 (drift estimate %v)", st.DriftEstimate)
-	}
-	mm, err := mono(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePairs(m, mm) {
-		t.Fatal("fallback matching differs from the monolithic solve")
+	if !st.FellBack || m != nil {
+		t.Fatalf("no fallback at budget 1e-12 (drift estimate %v, matching %v)", st.DriftEstimate, m)
 	}
 }
 
 // TestSolveComponentSingleEventUsesMono: a component that cannot split
-// (one event) answers through mono with Shards == 1 and zero drift.
+// (one event) is not sharded: Split returns nil and the whole solve
+// answers.
 func TestSolveComponentSingleEventUsesMono(t *testing.T) {
 	events := []core.Event{{Cap: 2}}
 	users := make([]core.User, 30)
@@ -232,13 +210,9 @@ func TestSolveComponentSingleEventUsesMono(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve, mono := mcfFuncs(in)
-	m, st, err := SolveComponent(context.Background(), in, Options{MaxArea: 10}, solve, mono)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards != 1 || st.DriftEstimate != 0 || st.FellBack {
-		t.Fatalf("unexpected stats %+v", st)
+	m, st := solveSharded(t, in, "mincostflow", Options{MaxArea: 10})
+	if st != nil {
+		t.Fatalf("single-event component split: %+v", st)
 	}
 	if m.Size() != 2 {
 		t.Fatalf("mono path returned %d pairs, want 2", m.Size())
@@ -258,7 +232,7 @@ func TestRepairBoundaryAddsCutPair(t *testing.T) {
 	m := core.NewMatching()
 	m.Add(0, 0, 0.9)
 	cuts := []cutPair{{v: 0, u: 1, sim: 0.4}, {v: 1, u: 0, sim: 0.85}}
-	repaired, moves, gain := repairBoundary(in, m, cuts, DefaultRepairRounds)
+	repaired, moves, gain := repairBoundary(in, m, cuts)
 	if moves != 1 || gain != 0.4 {
 		t.Fatalf("moves=%d gain=%v, want 1 move of gain 0.4", moves, gain)
 	}
@@ -283,7 +257,7 @@ func TestRepairBoundaryDisplacesConflictingPair(t *testing.T) {
 	}
 	m := core.NewMatching()
 	m.Add(1, 0, 0.3)
-	repaired, moves, gain := repairBoundary(in, m, []cutPair{{v: 0, u: 0, sim: 0.9}}, DefaultRepairRounds)
+	repaired, moves, gain := repairBoundary(in, m, []cutPair{{v: 0, u: 0, sim: 0.9}})
 	if moves != 1 || gain < 0.59 || gain > 0.61 {
 		t.Fatalf("moves=%d gain=%v, want the 0.3 -> 0.9 swap", moves, gain)
 	}
@@ -308,7 +282,7 @@ func TestRepairBoundaryNoFalseMoves(t *testing.T) {
 	m := core.NewMatching()
 	m.Add(0, 0, 0.9)
 	m.Add(1, 1, 0.6)
-	repaired, moves, gain := repairBoundary(in, m, []cutPair{{v: 0, u: 1, sim: 0.8}, {v: 1, u: 0, sim: 0.7}}, DefaultRepairRounds)
+	repaired, moves, gain := repairBoundary(in, m, []cutPair{{v: 0, u: 1, sim: 0.8}, {v: 1, u: 0, sim: 0.7}})
 	if moves != 0 || gain != 0 || repaired != m {
 		t.Fatalf("moves=%d gain=%v: repair moved on a local optimum", moves, gain)
 	}

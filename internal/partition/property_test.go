@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"context"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -24,28 +23,20 @@ func TestPropertyDriftBoundedMinCostFlow(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		frac := 0.05 + 0.05*float64(seed%5) // bridge fractions 0.05 .. 0.25
 		in := bridged(t, 16, 120, 4, 0, frac, seed)
-		solve, mono := mcfFuncs(in)
-		opt := Options{MaxArea: 400, DriftBudget: budget}
-		if seed%2 == 1 {
-			opt.Strategy = StrategyBFS
-		}
-		m, st, err := SolveComponent(context.Background(), in, opt, solve, mono)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		m, st := solveSharded(t, in, "mincostflow", Options{MaxArea: 400, DriftBudget: budget})
 		if err := core.Validate(in, m); err != nil {
 			t.Fatalf("seed %d: merged matching infeasible: %v", seed, err)
 		}
-		mm, err := mono(context.Background())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		mm := solveWhole(t, in, "mincostflow")
 		drift := 0.0
 		if ms := mm.MaxSum(); ms > 0 {
 			drift = (ms - m.MaxSum()) / ms
 		}
 		if drift > budget+1e-9 {
 			t.Fatalf("seed %d: drift %v past budget %v (fellback=%v)", seed, drift, budget, st.FellBack)
+		}
+		if st == nil {
+			continue
 		}
 		if st.FellBack {
 			if !samePairs(m, mm) {
@@ -76,23 +67,11 @@ func TestPropertyDriftBoundedExact(t *testing.T) {
 	sharded := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		in := bridged(t, 6, 24, 3, 0.3, 0.2, 1000+seed)
-		solve := func(ctx context.Context, sub *core.Instance, events, users []int, shard int) (*core.Matching, error) {
-			return core.SolveContext(ctx, "exact", sub, nil)
-		}
-		mono := func(ctx context.Context) (*core.Matching, error) {
-			return core.SolveContext(ctx, "exact", in, nil)
-		}
-		m, st, err := SolveComponent(context.Background(), in, Options{MaxArea: 48, DriftBudget: budget}, solve, mono)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		m, st := solveSharded(t, in, "exact", Options{MaxArea: 48, DriftBudget: budget})
 		if err := core.Validate(in, m); err != nil {
 			t.Fatalf("seed %d: merged matching infeasible: %v", seed, err)
 		}
-		mm, err := mono(context.Background())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		mm := solveWhole(t, in, "exact")
 		drift := 0.0
 		if ms := mm.MaxSum(); ms > 0 {
 			drift = (ms - m.MaxSum()) / ms
@@ -100,7 +79,7 @@ func TestPropertyDriftBoundedExact(t *testing.T) {
 		if drift > budget+1e-9 {
 			t.Fatalf("seed %d: drift %v past budget %v", seed, drift, budget)
 		}
-		if !st.FellBack && st.Shards > 1 {
+		if st != nil && !st.FellBack && st.Shards > 1 {
 			sharded++
 			if drift > st.DriftEstimate+1e-9 {
 				t.Fatalf("seed %d: measured drift %v exceeds estimate %v (exact shards)", seed, drift, st.DriftEstimate)

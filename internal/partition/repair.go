@@ -19,11 +19,11 @@ import (
 //
 // Every applied move strictly increases MaxSum, so the pass terminates;
 // sweeps run in deterministic order (similarity desc, then ids), at most
-// rounds times, stopping early when a sweep changes nothing. Returns the
+// repairRounds times, stopping early when a sweep changes nothing. Returns the
 // repaired matching (the input matching if no move applied), the move
 // count, and the total MaxSum gain.
-func repairBoundary(in *core.Instance, m *core.Matching, cuts []cutPair, rounds int) (*core.Matching, int, float64) {
-	if len(cuts) == 0 || rounds <= 0 {
+func repairBoundary(in *core.Instance, m *core.Matching, cuts []cutPair) (*core.Matching, int, float64) {
+	if len(cuts) == 0 {
 		return m, 0, 0
 	}
 	ordered := append([]cutPair(nil), cuts...)
@@ -31,7 +31,7 @@ func repairBoundary(in *core.Instance, m *core.Matching, cuts []cutPair, rounds 
 	ed := newEditState(in, m)
 	moves := 0
 	gain := 0.0
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < repairRounds; r++ {
 		changed := false
 		for _, cp := range ordered {
 			if g, ok := ed.tryImprove(cp.v, cp.u, cp.sim); ok {

@@ -66,7 +66,6 @@ func (s Spec) KeySpec(simID string) solvecache.KeySpec {
 	if sh := s.Shard; sh != nil {
 		k.ApproxShard = true
 		k.ShardMaxArea = sh.MaxArea
-		k.ShardStrategy = string(sh.Strategy)
 		k.ShardDriftBudget = sh.DriftBudget
 	}
 	return k

@@ -118,7 +118,7 @@ func TestRunDiagReusesContextRecorder(t *testing.T) {
 func TestSpecKeySpec(t *testing.T) {
 	sh := partition.Options{MaxArea: 150, DriftBudget: 0.9}.Normalized()
 	k := Spec{Algo: "greedy", Seed: 3, Workers: 2, Shard: &sh, Diag: true}.KeySpec("cosine")
-	if !k.Decompose || !k.ApproxShard || k.ShardMaxArea != 150 || k.ShardStrategy != string(sh.Strategy) ||
+	if !k.Decompose || !k.ApproxShard || k.ShardMaxArea != 150 ||
 		k.ShardDriftBudget != 0.9 || k.SimID != "cosine" || k.Seed != 3 || k.Workers != 2 || !k.Diag {
 		t.Fatalf("key spec %+v", k)
 	}

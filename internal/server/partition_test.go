@@ -67,7 +67,11 @@ func TestSolveApproxShard(t *testing.T) {
 }
 
 // TestSolveApproxShardServerDefault: Config.Shard turns sharding on for
-// every solve; ?approx_shard=0 opts a single request back out.
+// every solve; ?approx_shard=0 opts a single request back out. The
+// diagnostics echo the options that actually ran, so a service default
+// silently overwritten by a request-parameter default shows up here: a
+// request that sets no shard parameter must run the server's, and one
+// that sets them must run its own.
 func TestSolveApproxShardServerDefault(t *testing.T) {
 	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}.Normalized()
 	handler, err := NewWithConfig(Config{
@@ -80,9 +84,24 @@ func TestSolveApproxShardServerDefault(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 	body := bridgedJSON(t)
-	doc := solveDoc(t, srv.URL+"/solve?algo=mincostflow&diag=1", body)
-	if doc.Diagnostics == nil || doc.Diagnostics.Partition == nil {
-		t.Fatal("service-wide shard default did not apply")
+	for _, tc := range []struct {
+		query   string
+		area    int64
+		budget  float64
+		purpose string
+	}{
+		{"", sh.MaxArea, sh.DriftBudget, "server default"},
+		{"&shard_max_area=800", 800, sh.DriftBudget, "request area, default budget"},
+		{"&shard_max_area=800&shard_drift_budget=0.8", 800, 0.8, "request values"},
+	} {
+		doc := solveDoc(t, srv.URL+"/solve?algo=mincostflow&diag=1"+tc.query, body)
+		if doc.Diagnostics == nil || doc.Diagnostics.Partition == nil {
+			t.Fatalf("%s: service-wide shard default did not apply", tc.purpose)
+		}
+		if pst := doc.Diagnostics.Partition; pst.MaxArea != tc.area || pst.DriftBudget != tc.budget {
+			t.Fatalf("%s: partition ran max_area=%d drift_budget=%v, want %d/%v",
+				tc.purpose, pst.MaxArea, pst.DriftBudget, tc.area, tc.budget)
+		}
 	}
 	off := solveDoc(t, srv.URL+"/solve?algo=mincostflow&approx_shard=0&diag=1", body)
 	if off.Diagnostics.Partition != nil {
@@ -96,7 +115,6 @@ func TestSolveApproxShardBadParams(t *testing.T) {
 	for _, q := range []string{
 		"approx_shard=1&shard_max_area=abc",
 		"approx_shard=1&shard_max_area=-5",
-		"approx_shard=1&shard_strategy=zigzag",
 		"approx_shard=1&shard_drift_budget=nope",
 		"approx_shard=1&shard_drift_budget=-0.1",
 	} {
@@ -169,9 +187,9 @@ func TestRebalanceShardParams(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	resp, out = postJSON(t, srv.URL+"/instances/shardy/rebalance?approx_shard=1&shard_strategy=zigzag", nil)
+	resp, out = postJSON(t, srv.URL+"/instances/shardy/rebalance?approx_shard=1&shard_drift_budget=-0.1", nil)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad strategy: status %d: %s", resp.StatusCode, out)
+		t.Fatalf("bad drift budget: status %d: %s", resp.StatusCode, out)
 	}
 }
 

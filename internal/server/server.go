@@ -264,8 +264,8 @@ func boolParam(r *http.Request, name string) bool {
 
 // shardOptionsFromQuery resolves the approximate-sharding parameters:
 // ?approx_shard=1 turns the feature on (and implies the decomposed path),
-// ?approx_shard=0 opts out of a service-wide default, and ?shard_max_area=,
-// ?shard_strategy= (modularity or bfs) plus ?shard_drift_budget= tune it.
+// ?approx_shard=0 opts out of a service-wide default, and ?shard_max_area=
+// plus ?shard_drift_budget= tune it.
 // Returns nil when sharding is off for this request.
 func (s *service) shardOptionsFromQuery(r *http.Request) (*partition.Options, error) {
 	on := s.shardDefault != nil
@@ -291,11 +291,6 @@ func (s *service) shardOptionsFromQuery(r *http.Request) (*partition.Options, er
 		}
 		opt.MaxArea = v
 	}
-	strat, err := partition.ParseStrategy(r.URL.Query().Get("shard_strategy"))
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	opt.Strategy = strat
 	if qs := r.URL.Query().Get("shard_drift_budget"); qs != "" {
 		v, err := strconv.ParseFloat(qs, 64)
 		if err != nil || v <= 0 {

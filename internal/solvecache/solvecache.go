@@ -37,10 +37,9 @@ type KeySpec struct {
 	Index     int // greedy's nearest-neighbor index (core.IndexKind)
 	// Approximate-sharding parameters (internal/partition). They change the
 	// merged matching, so they must key separately from a plain decomposed
-	// solve: ApproxShard false means the zero-valued trio hashes as "off".
+	// solve: ApproxShard false means the zero-valued pair hashes as "off".
 	ApproxShard      bool
 	ShardMaxArea     int64
-	ShardStrategy    string
 	ShardDriftBudget float64
 }
 
@@ -64,7 +63,7 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 		writeInt(int64(len(s)))
 		h.Write([]byte(s))
 	}
-	writeStr("geacc-solve-v3")
+	writeStr("geacc-solve-v4")
 	writeStr(spec.Algo)
 	writeStr(spec.SimID)
 	writeInt(spec.Seed)
@@ -83,7 +82,6 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 	}
 	writeInt(flags)
 	writeInt(spec.ShardMaxArea)
-	writeStr(spec.ShardStrategy)
 	writeFloat(spec.ShardDriftBudget)
 
 	writeInt(int64(in.NumEvents()))

@@ -86,14 +86,11 @@ func TestInstanceKeyContentSensitivity(t *testing.T) {
 	check("diag", a, KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Diag: true})
 	check("nodelimit", a, KeySpec{Algo: "exact", Seed: 1, SimID: spec.SimID, NodeLimit: 100})
 	shard := KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Decompose: true,
-		ApproxShard: true, ShardMaxArea: 20000, ShardStrategy: "modularity", ShardDriftBudget: 0.01}
+		ApproxShard: true, ShardMaxArea: 20000, ShardDriftBudget: 0.01}
 	check("approx-shard", a, shard)
 	maxArea := shard
 	maxArea.ShardMaxArea = 5000
 	check("shard-max-area", a, maxArea)
-	strategy := shard
-	strategy.ShardStrategy = "bfs"
-	check("shard-strategy", a, strategy)
 	budget := shard
 	budget.ShardDriftBudget = 0.05
 	check("shard-drift-budget", a, budget)
